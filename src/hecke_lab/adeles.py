@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, LevelCapError, PrecisionError
 from .pairs import BostConnesFamily, MatrixFamily, PairFamily
-from .tower import ExactElement, TruncatedElement, embed_j
+from .tower import ExactElement, TruncatedElement
 
 
 def factor(n: int) -> dict:
@@ -216,8 +216,3 @@ def matrix_pairing(family: MatrixFamily, x, y, at_level=None) -> Fraction:
     except PrecisionError as exc:
         raise LevelCapError(f"no admissible level for the pairing: {exc}") from exc
     return sum((a * b for a, b in zip(vx, vy)), Fraction(0)) % 1
-
-
-def exact_k_element(family: BostConnesFamily, n: int) -> ExactElement:
-    """The image of an integer in the compact subgroup."""
-    return embed_j(family, Fraction(n))

@@ -201,8 +201,9 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     w = Fraction(1, fam.index(t))
     pairs = []
     for ca, va in a.values.items():
+        va = scale(va, w)
         for cb, vb in b.values.items():
-            pairs.append((fam.n_add(ca, cb), scale(va * vb, w)))
+            pairs.append((fam.n_add(ca, cb), va * vb))
     return LocFun.build(fam, t, pairs, f.exact and g.exact)
 
 

@@ -111,9 +111,6 @@ class Ctx:
         return self.cache["dil"]
 
 
-PASS_EXACT = (True, 0.0, True, "")
-
-
 def _exact(ok: bool, note: str = ""):
     return (ok, 0.0 if ok else None, True, note)
 
@@ -265,7 +262,6 @@ def check_alpha_injective_on_generators(ctx: Ctx):
         images = []
         for n in ctx.cosets(6):
             images.append(frozenset(fam.solve_coset(s, n)))
-        distinct = {frozenset(fam.solve_coset(s, n)) for n in set(ctx.cosets(6))}
         for i, a in enumerate(images):
             for b in images[i + 1 :]:
                 if a != b and a & b:
@@ -1344,10 +1340,17 @@ def _family_config(args) -> dict:
     if args.family == "padic":
         return {"family": "padic", "p": args.p}
     if args.family == "matrix":
-        F = json.loads(args.F) if args.F else [[2, 0], [0, 3]]
-        M = json.loads(args.M) if args.M else [[5, 0], [0, 1]]
+        F = _json_matrix("--F", args.F) if args.F else [[2, 0], [0, 3]]
+        M = _json_matrix("--M", args.M) if args.M else [[5, 0], [0, 1]]
         return {"family": "matrix", "F": F, "M": M}
     raise ConfigError(f"unknown family {args.family!r}")
+
+
+def _json_matrix(option: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{option} is not valid JSON: {text!r} ({exc})") from exc
 
 
 def cmd_families():
@@ -1393,17 +1396,17 @@ def main(argv=None) -> int:
     if args.command == "demo":
         cmd_demo()
         return 0
-    config = RunConfig(
-        family=_family_config(args),
-        suite=args.suite,
-        depth=args.depth,
-        max_level=args.max_level,
-        trials=args.trials,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        report=args.report,
-    )
     try:
+        config = RunConfig(
+            family=_family_config(args),
+            suite=args.suite,
+            depth=args.depth,
+            max_level=args.max_level,
+            trials=args.trials,
+            seed=args.seed,
+            tolerance=args.tolerance,
+            report=args.report,
+        )
         reports = run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

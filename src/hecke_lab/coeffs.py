@@ -76,10 +76,6 @@ QC_ZERO = QC(Fraction(0), Fraction(0))
 QC_ONE = QC(Fraction(1), Fraction(0))
 
 
-def is_exact(c) -> bool:
-    return isinstance(c, (QC, int, Fraction))
-
-
 def coerce(c, exact: bool):
     """Normalize a scalar into the chosen backend."""
     if exact:
@@ -92,10 +88,6 @@ def scale(c, q: Fraction):
     if isinstance(c, QC):
         return c * q
     return c * float(q)
-
-
-def conj(c):
-    return c.conjugate()
 
 
 def is_zero(c) -> bool:

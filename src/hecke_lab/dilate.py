@@ -200,7 +200,6 @@ class CompressedRep:
     apply_Y: object
     apply_V: object
     apply_Vstar: object
-    fixed_basis: list
     excess_residuals: list
 
 
@@ -252,4 +251,4 @@ def restrict_compress(
     def apply_Vstar(s, v):
         return dil.project_fixed(dil.apply_Ustar(s, v))
 
-    return CompressedRep(dil, apply_Y, apply_V, apply_Vstar, fixed, excess)
+    return CompressedRep(dil, apply_Y, apply_V, apply_Vstar, excess)

@@ -50,7 +50,13 @@ def _env_cap():
         parts = [int(x) for x in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad {ENV_LEVEL_CAP}={raw!r}") from exc
+    if any(x < 1 for x in parts):
+        raise ConfigError(f"{ENV_LEVEL_CAP} must be positive, got {raw!r}")
     return parts
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class PairFamily:
@@ -75,9 +81,6 @@ class PairFamily:
     def s_divide(self, t, s):
         """Return r with t = r * s, or None when s does not divide t."""
         raise NotImplementedError
-
-    def s_leq(self, s, t) -> bool:
-        return self.s_divide(t, s) is not None
 
     def s_join(self, s, t):
         raise NotImplementedError
@@ -256,7 +259,7 @@ class BostConnesFamily(PairFamily):
     n_identity = property(lambda self: Fraction(0))
 
     def validate_s(self, s):
-        if not isinstance(s, int) or s < 1:
+        if not _is_int(s) or s < 1:
             raise ConfigError(f"bost-connes semigroup elements are positive ints, got {s!r}")
 
     def s_mul(self, s, t):
@@ -354,7 +357,7 @@ class PadicFamily(PairFamily):
     n_identity = property(lambda self: Fraction(0))
 
     def validate_s(self, s):
-        if not isinstance(s, int) or s < 0:
+        if not _is_int(s) or s < 0:
             raise ConfigError(f"padic semigroup elements are naturals, got {s!r}")
 
     def s_mul(self, s, t):
@@ -439,6 +442,15 @@ class PadicFamily(PairFamily):
     g_from_json = s_from_json
 
 
+def _int_matrix(rows):
+    """A copy of a matrix given as a list of lists of integers."""
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(_is_int(x) for x in row) for row in rows
+    ):
+        raise ConfigError(f"matrix family needs lists of integer rows, got {rows!r}")
+    return [list(row) for row in rows]
+
+
 class MatrixFamily(PairFamily):
     """N spanned by backward orbits of two commuting integer matrices.
 
@@ -449,8 +461,8 @@ class MatrixFamily(PairFamily):
     tag = "matrix"
 
     def __init__(self, F, Mmat, level_cap=(4, 4)):
-        self.F = [list(map(int, row)) for row in F]
-        self.Mmat = [list(map(int, row)) for row in Mmat]
+        self.F = _int_matrix(F)
+        self.Mmat = _int_matrix(Mmat)
         self.dim = len(self.F)
         if any(len(row) != self.dim for row in self.F) or len(self.Mmat) != self.dim \
                 or any(len(row) != self.dim for row in self.Mmat):
@@ -482,7 +494,7 @@ class MatrixFamily(PairFamily):
         if (
             not isinstance(s, tuple)
             or len(s) != 2
-            or not all(isinstance(c, int) and c >= 0 for c in s)
+            or not all(_is_int(c) and c >= 0 for c in s)
         ):
             raise ConfigError(f"matrix semigroup elements are pairs of naturals, got {s!r}")
 

@@ -63,11 +63,6 @@ class TruncatedElement:
             fam, self.level, fam.canon(fam.n_add(self.coset, other.coset), self.level)
         )
 
-    def neg(self) -> "TruncatedElement":
-        return TruncatedElement(
-            self.family, self.level, self.family.canon(self.family.n_neg(self.coset), self.level)
-        )
-
     def to_json(self):
         return {
             "level": self.family.s_to_json(self.level),
@@ -133,23 +128,6 @@ def theta_inv_apply(t, x) -> TruncatedElement:
     deeper = fam.s_mul(x.level, t)
     fam.require_level(deeper)
     return TruncatedElement(fam, deeper, fam.canon(fam.psi_s_inv(t, x.coset), deeper))
-
-
-def theta_g_apply(g, x: TruncatedElement) -> TruncatedElement:
-    """theta_g for a general group element g = s^-1 t."""
-    fam = x.family
-    s, t = fam.g_reduce(g)
-    out = x
-    if t != fam.s_identity:
-        out = theta_apply(t, out)
-    if s != fam.s_identity:
-        out = theta_inv_apply(s, out)
-    return out
-
-
-def k_truncation_reps(family: PairFamily, s):
-    """Canonical representatives of the level-s truncation of K."""
-    return family.coset_reps(s)
 
 
 def theta_image_of_k_reps(family: PairFamily, s, t):

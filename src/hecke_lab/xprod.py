@@ -12,6 +12,19 @@ where beta is the rescaled action on functions.  The projection p is the
 indicator of the compact subgroup; v_s = u_s p gives the isometries of the
 corner copy of the semigroup crossed product.
 
+The corner p (A x| G) p is identified with the semigroup crossed product
+by writing each of its elements as a sum of v_s^* i(a) v_t triples
+(``corner_decompose``), one per group component g = s^-1 t.  Two facts
+make this cheap:
+
+* translation identity: the g-term of v_s^* i(delta_n) v_t is the g-term
+  of v_s^* v_t translated by psi_s^-1(n), because beta, convolution and
+  the embedding i all commute with translations of N;
+* certificate: v_s^* i(a) v_t is linear in a, so an exact solution of
+  "component = sum_n a_n * probe_n" for every component exhibits the
+  element as a sum of corner triples.  No separate p d p == d test is
+  needed; ``in_corner`` keeps that definition as a predicate.
+
 The induction engine rewrites (f u_g) applied to a dilation block (s, h)
 through the cylinder identity
 
@@ -164,6 +177,7 @@ def module_element(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> C
 
 
 def in_corner(d: CrossedElement) -> bool:
+    """Corner membership by its definition: p d p == d."""
     p = projection_p(d.family)
     return p * d * p == d
 
@@ -171,31 +185,50 @@ def in_corner(d: CrossedElement) -> bool:
 def corner_decompose(d: CrossedElement):
     """Write a corner element exactly as a sum of v_s^* i(a) v_t triples.
 
-    Raises NotInCornerError when two-sided cutting by the projection moves
-    the element.  The decomposition is per group component: candidates for
-    the generator supports are read off the function supports, and exact
-    rational elimination finds the unique coefficients.
+    Works per group component g = s^-1 t (s, t from ``g_reduce``).  Every
+    probe v_s^* i(delta_n) v_t has its single term at g, and that term is
+    the g-term of v_s^* v_t translated by psi_s^-1(n) (see ``_translate``),
+    so only v_s^* v_t is multiplied out, once per component; it is refined
+    to the component's level first, since translation commutes with
+    refinement.  Exact rational elimination then writes the component as
+    a combination of the candidate probes.
+
+    A consistent solve is the membership certificate: compose_corner is
+    linear in a, so the solved coefficients a_g give
+    d = sum_g v_s^* i(a_g) v_t, which lies in the corner.  When some
+    component has no solution, NotInCornerError is raised; ``in_corner``
+    stays the definition-level predicate p d p == d.
     """
     fam = d.family
-    if not in_corner(d):
-        raise NotInCornerError("element is not fixed by the corner projection")
     triples = []
     for g, f in d.terms.items():
         s, t = fam.g_reduce(g)
         candidates = _candidate_generators(fam, s, t, f)
-        probes = [compose_corner(fam, s, grpalg.delta(fam, n), t) for n in candidates]
-        coeffs = _solve_exact(
-            [probe.terms.get(g, autodil.zero(fam)) for probe in probes], f
-        )
+        base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
+        base = base.refine(fam.s_join(base.level, f.level))
+        probes = [_translate(base, fam.psi_s_inv(s, n)) for n in candidates]
+        coeffs = _solve_exact(probes, f)
         if coeffs is None:
             raise NotInCornerError(
-                "no exact corner decomposition; candidate generators do not span"
+                "no exact corner decomposition: the element is not in the corner, "
+                "or the candidate generators do not span it"
             )
         a = grpalg.GroupAlgebraElement.build(
             fam, [(n, c) for n, c in zip(candidates, coeffs)]
         )
         triples.append((s, a, t))
     return triples
+
+
+def _translate(f: LocFun, x) -> LocFun:
+    """The function f(. - x), at f's level.
+
+    Translation maps level cosets bijectively onto level cosets, so keys
+    stay distinct and values are unchanged.
+    """
+    fam = f.family
+    values = {fam.canon(fam.n_add(c, x), f.level): v for c, v in f.values.items()}
+    return LocFun(fam, f.level, values, f.exact)
 
 
 def _candidate_generators(fam: PairFamily, s, t, f: LocFun):

@@ -136,6 +136,22 @@ def test_main_verify_exit_code(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--F", "[[2,0],[0,3]"],
+        ["--M", "not json"],
+        ["--F", "[[2.5,0],[0,3]]"],
+        ["--F", "[[true,0],[0,3]]"],
+        ["--M", "5"],
+    ],
+)
+def test_main_matrix_input_errors_exit_2(option, capsys):
+    code = main(["verify", "--family", "matrix", "--suite", "none", *option])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_console_script_entrypoint():
     result = subprocess.run(
         [sys.executable, "-m", "hecke_lab.cli", "families"],

@@ -291,6 +291,32 @@ def test_matrix_family_validation():
         MatrixFamily([[0, 2], [3, 0]], [[5, 1], [0, 5]])  # does not commute
 
 
+def test_matrix_family_rejects_non_integer_entries():
+    for F in ([[2.5, 0], [0, 3]], [[2.0, 0], [0, 3]], [[True, 0], [0, 3]], [["2", 0], [0, 3]], 5):
+        with pytest.raises(ConfigError):
+            MatrixFamily(F, [[5, 0], [0, 1]])
+
+
+def test_validate_s_rejects_bool(bc, p3, mat):
+    for fam, bad in ((bc, True), (p3, False), (p3, True), (mat, (True, 0)), (mat, (0, False))):
+        with pytest.raises(ConfigError):
+            fam.validate_s(bad)
+    bc.validate_s(1)
+    p3.validate_s(0)
+    mat.validate_s((1, 0))
+
+
+@pytest.mark.parametrize("raw", ["-3", "0", "4,0", "x"])
+def test_level_cap_env_must_be_positive(raw, monkeypatch):
+    monkeypatch.setenv("HECKE_LAB_LEVEL_CAP", raw)
+    with pytest.raises(ConfigError):
+        BostConnesFamily()
+    with pytest.raises(ConfigError):
+        PadicFamily(3)
+    with pytest.raises(ConfigError):
+        MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+
+
 def test_enumeration_cap(mat):
     with pytest.raises(LevelCapError):
         mat.coset_reps((12, 12))
