@@ -222,7 +222,11 @@ def theta_star(s, f: LocFun) -> LocFun:
     On a level-a cylinder over c it spreads mass index(s)^-1 over the
     index(s) level-a cylinders whose theta_s-preimage is the one over c;
     those are the translates of psi_s(c) by the (level-adjusted) images of
-    the transversal.
+    the transversal.  The spreads of distinct level-a cosets c are
+    disjoint, since each target cylinder has one preimage, and the
+    index(s) targets of one c are distinct.  So the keys need ``canon``
+    (a translate is not canonical by construction when the HNF is not
+    diagonal) but no merging or zero test: skip ``build``.
     """
     fam = f.family
     fam.validate_s(s)
@@ -234,13 +238,15 @@ def theta_star(s, f: LocFun) -> LocFun:
         shifts = fam.psi_reps(s)
     else:
         shifts = [fam.psi_s_inv(a, pm) for pm in fam.psi_reps(s)]
-    pairs = []
+    out = {}
     for c, v in f.values.items():
         spread = scale(v, w)
+        if is_zero(spread):  # a float coefficient can underflow to zero
+            continue
         base = fam.psi_s(s, c)
         for pm in shifts:
-            pairs.append((fam.n_add(base, pm), spread))
-    return LocFun.build(fam, a, pairs, f.exact)
+            out[fam.canon(fam.n_add(base, pm), a)] = spread
+    return LocFun(fam, a, out, f.exact)
 
 
 def theta_star_inv(s, f: LocFun) -> LocFun:

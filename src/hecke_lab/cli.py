@@ -50,7 +50,7 @@ class RunConfig:
 class CheckReport:
     check_id: str
     statement: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | skipped | error
     deviation: float | None
     exact: bool
     runtime: float
@@ -1254,6 +1254,9 @@ def run(config: RunConfig):
             status, deviation, exact, note = "skipped", None, False, f"level cap: {exc}"
         except HeckeLabError as exc:
             status, deviation, exact, note = "fail", None, False, f"error: {exc}"
+        except Exception as exc:  # one broken check must not lose the other reports
+            status, deviation, exact = "error", None, False
+            note = f"{type(exc).__name__}: {exc}"
         reports.append(
             CheckReport(
                 check_id=check_id,
@@ -1277,6 +1280,7 @@ def write_report(reports, path, config: RunConfig):
             "pass": sum(r.status == "pass" for r in reports),
             "fail": sum(r.status == "fail" for r in reports),
             "skipped": sum(r.status == "skipped" for r in reports),
+            "error": sum(r.status == "error" for r in reports),
             "exact_zero": sum(r.exact and r.status == "pass" for r in reports),
             "family": config.family,
             "suite": config.suite,
@@ -1305,7 +1309,9 @@ def _print_human(reports):
     total = len(reports)
     bad = sum(r.status == "fail" for r in reports)
     skipped = sum(r.status == "skipped" for r in reports)
-    print(f"-- {total} checks: {total - bad - skipped} passed, {bad} failed, {skipped} skipped")
+    errors = sum(r.status == "error" for r in reports)
+    passed = total - bad - skipped - errors
+    print(f"-- {total} checks: {passed} passed, {bad} failed, {skipped} skipped, {errors} errors")
 
 
 def build_parser():
@@ -1413,7 +1419,7 @@ def main(argv=None) -> int:
         return 2
     write_report(reports, config.report, config)
     _print_human(reports)
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return 1 if any(r.status in ("fail", "error") for r in reports) else 0
 
 
 if __name__ == "__main__":

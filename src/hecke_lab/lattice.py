@@ -8,7 +8,6 @@ representatives and an exact count equal to |det A|.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -120,16 +119,35 @@ def hermite_normal_form(mat):
     return h
 
 
+def in_hnf_box(h, v) -> bool:
+    """Whether v is a tuple of Fractions with 0 <= v_i < h_ii for every i.
+
+    These are exactly the fixed points of ``hnf_reduce`` (see
+    ``iter_hnf_box``) that already have its output types.  Integer
+    comparisons only: no Fraction is built.
+    """
+    if type(v) is not tuple or len(v) != len(h):
+        return False
+    for i, x in enumerate(v):
+        if type(x) is not Fraction or not 0 <= x.numerator < h[i][i] * x.denominator:
+            return False
+    return True
+
+
 def hnf_reduce(h, v):
     """Canonical representative of a rational vector modulo the HNF lattice.
 
     Subtracts integer multiples of the columns of `h` top row first, landing
-    coordinate i in [0, h[i][i]).  Exact on Fractions.
+    coordinate i in [0, h[i][i]).  Exact on Fractions.  Canonical input, a
+    tuple of Fractions already in the box, is returned unchanged (the same
+    object); any other input comes back as a new tuple of Fractions.
     """
+    if in_hnf_box(h, v):
+        return v
     x = [Fraction(c) for c in v]
     n = len(x)
     for i in range(n):
-        q = math.floor(x[i] / h[i][i])
+        q = x[i].numerator // (h[i][i] * x[i].denominator)
         if q:
             for r in range(i, n):
                 if h[r][i]:

@@ -28,6 +28,7 @@ from .lattice import (
     hermite_normal_form,
     hnf_box_count,
     hnf_reduce,
+    in_hnf_box,
     int_det,
     iter_hnf_box,
     mat_inv,
@@ -147,7 +148,12 @@ class PairFamily:
     # -- quotients ----------------------------------------------------------
 
     def canon(self, n, s=None):
-        """Canonical representative of n modulo psi_s^-1(M); s=None means M."""
+        """Canonical representative of n modulo psi_s^-1(M); s=None means M.
+
+        Canonical input that already has the output's types (a Fraction, or
+        a tuple of Fractions for ``matrix``) is returned unchanged, the same
+        object, after integer comparisons only; every other input is reduced.
+        """
         raise NotImplementedError
 
     def index(self, s) -> int:
@@ -296,8 +302,7 @@ class BostConnesFamily(PairFamily):
         return n.denominator == 1
 
     def canon(self, n, s=None):
-        mod = 1 if s is None else s
-        return n % mod
+        return _reduce_mod(n, 1 if s is None else s)
 
     def index(self, s) -> int:
         self.validate_s(s)
@@ -394,8 +399,7 @@ class PadicFamily(PairFamily):
         return n.denominator == 1
 
     def canon(self, n, s=None):
-        mod = 1 if s is None else self.p**s
-        return n % mod
+        return _reduce_mod(n, 1 if s is None else self.p**s)
 
     def index(self, s) -> int:
         self.validate_s(s)
@@ -442,6 +446,13 @@ class PadicFamily(PairFamily):
     g_from_json = s_from_json
 
 
+def _reduce_mod(n, mod):
+    """n modulo the integer mod; a Fraction already in [0, mod) is returned as is."""
+    if type(n) is Fraction and 0 <= n.numerator < mod * n.denominator:
+        return n
+    return n % mod
+
+
 def _int_matrix(rows):
     """A copy of a matrix given as a list of lists of integers."""
     if not isinstance(rows, (list, tuple)) or not all(
@@ -482,6 +493,9 @@ class MatrixFamily(PairFamily):
             self.level_cap = tuple(level_cap)
         self._pow_cache = {}
         self._hnf_cache = {}
+        # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
+        self._unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        self._transpose = None
 
     s_identity = property(lambda self: (0, 0))
     g_identity = property(lambda self: (0, 0))
@@ -560,9 +574,12 @@ class MatrixFamily(PairFamily):
         return cached
 
     def canon(self, n, s=None):
+        h = self._unit if s is None else self._hnf(s)
+        if in_hnf_box(h, n):
+            return n
         if s is None:
             return tuple(x % 1 for x in n)
-        return hnf_reduce(self._hnf(s), n)
+        return hnf_reduce(h, n)
 
     def index(self, s) -> int:
         self.validate_s(s)
@@ -620,9 +637,14 @@ class MatrixFamily(PairFamily):
         return {"family": self.tag, "F": self.F, "M": self.Mmat}
 
     def transpose_family(self) -> "MatrixFamily":
-        ft = [[self.F[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        mt = [[self.Mmat[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return MatrixFamily(ft, mt, level_cap=self.level_cap)
+        """The family of the transposed matrices, built once, so that its
+        HNF and power caches persist; its own transpose is this family."""
+        if self._transpose is None:
+            ft = [[self.F[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            mt = [[self.Mmat[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            self._transpose = MatrixFamily(ft, mt, level_cap=self.level_cap)
+            self._transpose._transpose = self
+        return self._transpose
 
     def n_to_json(self, n):
         return [frac_to_str(x) for x in n]

@@ -262,6 +262,28 @@ def test_matrix_pairing_stability(mat):
             assert matrix_pairing(mat, x, y, at_level=(start[0] + bump[0], start[1] + bump[1])) == base
 
 
+def test_matrix_pairing_cached_transpose(mat):
+    """The transpose family is built once per family, and pairings equal the
+    ones made with a freshly built transpose family."""
+    skew = MatrixFamily([[1, 1], [-1, 1]], [[2, 1], [-1, 2]])
+    rng = random.Random(23)
+    for fam in (mat, skew):
+        tfam = fam.transpose_family()
+        assert fam.transpose_family() is tfam and tfam.transpose_family() is fam
+        fresh = MatrixFamily([list(r) for r in zip(*fam.F)], [list(r) for r in zip(*fam.Mmat)])
+        assert (tfam.F, tfam.Mmat) == (fresh.F, fresh.Mmat)
+        for _ in range(20):
+            sx = (rng.randint(0, 2), rng.randint(0, 2))
+            sy = (rng.randint(0, 2), rng.randint(0, 2))
+            x = embed_j(fam, fam.psi_s(sx, tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))))
+            y = embed_j(fresh, fresh.psi_s(sy, tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))))
+            tx = adeles.matrix_denominator_level(fam, x)
+            ty = adeles.matrix_denominator_level(fresh, y)
+            level = (max(tx[0], ty[0]), max(tx[1], ty[1]))
+            expected = sum(a * b for a, b in zip(x.project(level), y.project(level))) % 1
+            assert matrix_pairing(fam, x, y) == expected
+
+
 def test_matrix_pairing_oracle(mat):
     # Direct dot product of representatives at a clearing level.
     tfam = mat.transpose_family()

@@ -247,6 +247,7 @@ def _shortcut_cases():
     """
     diag = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
     skew = MatrixFamily([[2, 1], [1, 3]], [[3, 1], [1, 4]])
+    skew_scalar = MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]])
 
     def matrix_sampler(fam):
         return lambda rng: fam.psi_s(
@@ -262,14 +263,17 @@ def _shortcut_cases():
         (PadicFamily(3), (0, 1, 2), rational_sampler(lambda rng: 3 ** rng.randint(0, 3))),
         (diag, mat_levels, matrix_sampler(diag)),
         (skew, mat_levels, matrix_sampler(skew)),
+        (skew_scalar, mat_levels, matrix_sampler(skew_scalar)),
     ]
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_alpha_and_embed_match_build_route(exact):
-    """alpha and embed_i construct their results without ``build``; the
-    dictionaries must equal the ones ``build`` makes from the same pairs,
-    with every key canonical at its level and every value non-zero."""
+    """alpha, embed_i and theta_star construct their results without
+    ``build``; the dictionaries must equal the ones ``build`` makes from the
+    same pairs, with every key canonical at its level and every value
+    non-zero.  theta_star is checked at the identity level and at the
+    second listed level."""
     rng = random.Random(41)
     for fam, levels, sample in _shortcut_cases():
         for terms in (2, 3, 5):
@@ -294,3 +298,20 @@ def test_alpha_and_embed_match_build_route(exact):
                 for k, c in got.values.items():
                     assert fam.canon(k) == k and fam.canon(k, fam.s_identity) == k
                     assert c != 0
+            for f in (embed_i(a), embed_i(a).refine(levels[1])):
+                b = f.level
+                for s in levels:
+                    w = Fraction(1, fam.index(s))
+                    shifts = [pm if b == fam.s_identity else fam.psi_s_inv(b, pm)
+                              for pm in fam.psi_reps(s)]
+                    old = LocFun.build(
+                        fam,
+                        b,
+                        [(fam.n_add(fam.psi_s(s, c), pm), v * w)
+                         for c, v in f.values.items() for pm in shifts],
+                        exact,
+                    )
+                    got = theta_star(s, f)
+                    assert got.level == b and got.values == old.values
+                    assert got.exact == exact
+                    assert all(fam.canon(k, b) == k for k in got.values)

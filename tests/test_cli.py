@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hecke_lab import cli
 from hecke_lab.errors import ConfigError
 from hecke_lab.cli import CheckReport, RunConfig, run, write_report, main
 
@@ -134,6 +136,43 @@ def test_main_verify_exit_code(tmp_path, capsys):
     assert path.exists()
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ValueError("deviation of an empty sample"), ZeroDivisionError("division by zero"),
+     np.linalg.LinAlgError("Singular matrix")],
+    ids=["value", "zero-division", "linalg"],
+)
+def test_raising_check_reported_as_error(exc, monkeypatch, tmp_path, capsys):
+    """An exception outside the package's own errors ends one check as
+    ``error``; the other checks still run and report, and main exits 1."""
+
+    def broken(ctx):
+        raise exc
+
+    def fine(ctx):
+        return True, 0.0, True, ""
+
+    monkeypatch.setattr(
+        cli,
+        "CHECKS",
+        [("algebra.broken", "algebra", "raises", None, broken),
+         ("algebra.fine", "algebra", "holds", None, fine)],
+    )
+    cfg = small_config()
+    reports = run(cfg)
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("algebra.broken", "error"),
+        ("algebra.fine", "pass"),
+    ]
+    assert reports[0].note == f"{type(exc).__name__}: {exc}"
+    summary = json.loads(write_report(reports, None, cfg).splitlines()[-1])["summary"]
+    assert (summary["error"], summary["pass"], summary["fail"]) == (1, 1, 0)
+    path = tmp_path / "r.jsonl"
+    assert main(["verify", "--suite", "algebra", "--report", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ERROR" in out and "1 errors" in out
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hecke_lab.errors import ConfigError, LevelCapError
-from hecke_lab.lattice import int_det, mat_inv, mat_vec
+from hecke_lab.lattice import (
+    hermite_normal_form,
+    hnf_reduce,
+    int_det,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+)
 from hecke_lab.pairs import (
     BostConnesFamily,
     MatrixFamily,
@@ -51,6 +59,17 @@ def oracle_lattice_reps(mat, box=8):
             if not any(same_class(v, r) for r in reps):
                 reps.append(v)
     return reps
+
+
+def oracle_box_reduce(h, v):
+    """Reduce v into the box prod [0, h_ii) by Fraction division and floor,
+    top row first: the reduction route with no canonical-input shortcut."""
+    x = [Fraction(c) for c in v]
+    for i in range(len(x)):
+        q = math.floor(x[i] / h[i][i])
+        for r in range(i, len(x)):
+            x[r] -= q * h[r][i]
+    return tuple(x)
 
 
 # --- fixtures ----------------------------------------------------------------
@@ -205,25 +224,94 @@ def test_solve_coset_identity_level(bc, p3, mat):
 # --- canonical forms -----------------------------------------------------------
 
 
-@given(st.fractions(min_value=-50, max_value=50), st.integers(1, 24))
-@settings(max_examples=80, derandomize=True)
-def test_canonical_idempotent_rationals(x, s):
-    fam = BostConnesFamily()
-    once = fam.canon(x, s)
-    assert fam.canon(once, s) == once
-    assert 0 <= once < s
+def _near(bound, den):
+    """Values around the boundary of [0, bound): negative, zero, the bound
+    itself and just below it, as Fractions and as ints."""
+    return st.one_of(
+        st.fractions(min_value=-3 * bound, max_value=3 * bound, max_denominator=40),
+        st.integers(-3 * bound, 3 * bound),
+        st.sampled_from(
+            [Fraction(0), Fraction(bound), Fraction(bound) - Fraction(1, den), Fraction(-1, den),
+             Fraction(-bound), 0, bound, bound - 1, -1]
+        ),
+    )
 
 
-def test_canonical_idempotent_matrix(mat):
-    vecs = [
-        (Fraction(7, 2), Fraction(-5, 3)),
-        (Fraction(11, 10), Fraction(4, 9)),
-        (Fraction(-3), Fraction(8)),
-    ]
-    for v in vecs:
-        for s in ((1, 0), (1, 1), (2, 2)):
-            once = mat.canon(v, s)
-            assert mat.canon(once, s) == once
+@st.composite
+def scalar_canon_cases(draw):
+    fam = draw(st.sampled_from([BostConnesFamily(), PadicFamily(2), PadicFamily(3)]))
+    levels = st.integers(1, 24) if fam.tag == "bost-connes" else st.integers(0, 4)
+    s = draw(st.none() | levels)
+    mod = 1 if s is None else fam.index(s)
+    return fam, s, mod, draw(_near(mod, draw(st.integers(1, 40))))
+
+
+@given(scalar_canon_cases())
+@settings(max_examples=200, derandomize=True)
+def test_canonical_idempotent_rationals(case):
+    """canon equals n % modulus in value and type; a canonical Fraction is
+    returned as the same object."""
+    fam, s, mod, x = case
+    got = fam.canon(x, s)
+    want = x % mod
+    assert got == want and type(got) is type(want)
+    assert 0 <= got < mod
+    if type(x) is Fraction and 0 <= x < mod:
+        assert got is x
+    again = fam.canon(got, s)
+    assert again == got and type(again) is type(got)
+
+
+@st.composite
+def commuting_pairs(draw):
+    """F and M as integer polynomials in one integer matrix A, so they
+    commute, with |det| > 1 and coprime determinants."""
+    dim = draw(st.sampled_from([2, 2, 3]))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+    def poly():
+        c0, c1 = draw(st.integers(-5, 5)), draw(st.sampled_from([-2, -1, 1, 2]))
+        return [[c0 * eye[i][j] + c1 * a[i][j] for j in range(dim)] for i in range(dim)]
+
+    F, M = poly(), poly()
+    dF, dM = int_det(F), int_det(M)
+    assume(abs(dF) > 1 and abs(dM) > 1 and math.gcd(dF, dM) == 1)
+    return F, M
+
+
+@st.composite
+def matrix_canon_cases(draw):
+    F, M = draw(commuting_pairs())
+    s = draw(st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    if s is None:
+        h = [[int(i == j) for j in range(len(F))] for i in range(len(F))]
+    else:
+        h = hermite_normal_form(mat_mul(mat_pow(F, s[0]), mat_pow(M, s[1])))
+    den = draw(st.integers(1, 40))
+    v = tuple(draw(_near(h[i][i], den)) for i in range(len(F)))
+    return MatrixFamily(F, M), s, h, v
+
+
+@given(matrix_canon_cases())
+@settings(max_examples=200, derandomize=True)
+def test_canonical_idempotent_matrix(case):
+    """canon equals coordinatewise % 1 modulo M and the plain box reduction
+    at a level, in value and coordinate types; hnf_reduce equals the box
+    reduction; a canonical tuple of Fractions is returned as the same object."""
+    fam, s, h, v = case
+    boxed = oracle_box_reduce(h, v)
+    got = fam.canon(v, s)
+    want = tuple(x % 1 for x in v) if s is None else boxed
+    assert got == want and type(got) is tuple
+    assert [type(x) for x in got] == [type(x) for x in want]
+    reduced = hnf_reduce(h, v)
+    assert reduced == boxed and all(type(x) is Fraction for x in reduced)
+    in_box = all(type(x) is Fraction and 0 <= x < h[i][i] for i, x in enumerate(v))
+    if in_box:
+        assert got is v and reduced is v
+    again = fam.canon(got, s)
+    assert again == got and [type(x) for x in again] == [type(x) for x in got]
 
 
 # --- semidirect product ---------------------------------------------------------
