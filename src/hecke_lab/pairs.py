@@ -18,6 +18,8 @@ from deterministic least upper bounds.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -70,6 +72,20 @@ class PairFamily:
 
     tag: str
 
+    @functools.cached_property
+    def _value_key(self):
+        """``to_config()`` as a string, computed once: families compare and
+        hash by value, and ``TruncatedElement`` hashes and compares them."""
+        return json.dumps(self.to_config(), sort_keys=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, PairFamily):
+            return NotImplemented
+        return self is other or self._value_key == other._value_key
+
+    def __hash__(self):
+        return hash(self._value_key)
+
     # -- S as a directed monoid -------------------------------------------
 
     @property
@@ -84,6 +100,12 @@ class PairFamily:
         raise NotImplementedError
 
     def s_join(self, s, t):
+        raise NotImplementedError
+
+    def s_meet(self, s, t):
+        """The greatest common S-divisor m of s and t.  Its level subgroup is
+        the sum of theirs (s_join's is the intersection), so
+        index(s) * index(t) = index(m) * index(s_join(s, t))."""
         raise NotImplementedError
 
     def ore_pair(self, s, t):
@@ -277,6 +299,8 @@ class BostConnesFamily(PairFamily):
     def s_join(self, s, t):
         return s * t // math.gcd(s, t)
 
+    s_meet = staticmethod(math.gcd)
+
     def g_from_s(self, s):
         return Fraction(s)
 
@@ -373,6 +397,8 @@ class PadicFamily(PairFamily):
 
     def s_join(self, s, t):
         return max(s, t)
+
+    s_meet = staticmethod(min)
 
     def g_from_s(self, s):
         return s
@@ -521,6 +547,10 @@ class MatrixFamily(PairFamily):
 
     def s_join(self, s, t):
         return (max(s[0], t[0]), max(s[1], t[1]))
+
+    def s_meet(self, s, t):
+        # F^a M^b Z^d + F^a' M^b' Z^d = F^min M^min Z^d, as det F, det M are coprime.
+        return (min(s[0], t[0]), min(s[1], t[1]))
 
     def g_from_s(self, s):
         return s

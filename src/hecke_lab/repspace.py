@@ -162,7 +162,7 @@ def average_projection(unitaries, v: SparseVector) -> SparseVector:
 
 def direct_sum(rep_a: CovariantRep, rep_b: CovariantRep) -> CovariantRep:
     """Direct sum on vectors with ('a', coset) / ('b', coset) keys."""
-    if rep_a.family is not rep_b.family:
+    if rep_a.family != rep_b.family:
         raise ConfigError("direct sums need a common family")
 
     def split(v: SparseVector):

@@ -92,6 +92,41 @@ def test_convolution_of_subgroup_indicator(bc):
     assert k.refine(12).mass() == 1
 
 
+def _meet_cases():
+    """Four of the families below, each with two factor levels that are
+    incomparable or unequal, and its sampler of N elements."""
+    bc, p3, diag, _, skew = _shortcut_cases()
+    return [
+        (bc[0], 2, 3, bc[2]),
+        (p3[0], 1, 4, p3[2]),
+        (diag[0], (1, 0), (0, 1), diag[2]),
+        (skew[0], (1, 1), (0, 2), skew[2]),
+    ]
+
+
+def rand_at(fam, level, sample, rng, terms=3):
+    pairs = [
+        (sample(rng), QC(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))))
+        for _ in range(terms)
+    ]
+    return LocFun.build(fam, level, pairs)
+
+
+def join_route_convolve(f, g):
+    """Convolution with both factors refined to the join level first: the
+    formula convolve used before it paired the factors at the meet level."""
+    fam = f.family
+    t = fam.s_join(f.level, g.level)
+    a, b = f.refine(t), g.refine(t)
+    w = Fraction(1, fam.index(t))
+    pairs = [
+        (fam.n_add(ca, cb), va * vb * w)
+        for ca, va in a.values.items()
+        for cb, vb in b.values.items()
+    ]
+    return LocFun.build(fam, t, pairs, f.exact and g.exact)
+
+
 def test_convolve_matches_pointwise_oracle(bc):
     rng = random.Random(13)
     for _ in range(15):
@@ -102,6 +137,43 @@ def test_convolve_matches_pointwise_oracle(bc):
         for _ in range(8):
             z = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
             assert out.refine(level).eval_at(z) == oracle_convolve_eval(bc, f, g, z, level)
+    for fam, s, t, sample in _meet_cases():
+        for _ in range(4):
+            f = rand_at(fam, s, sample, rng)
+            g = rand_at(fam, t, sample, rng)
+            out = convolve(f, g)
+            assert out.level == fam.s_join(s, t)
+            points = [sample(rng) for _ in range(6)] + list(out.values)[:4]
+            for z in points:
+                assert out.eval_at(z) == oracle_convolve_eval(fam, f, g, z, out.level)
+
+
+def test_convolve_matches_join_route():
+    rng = random.Random(17)
+    for fam, s, t, sample in _meet_cases():
+        levels = (fam.s_identity, s, t, fam.s_meet(s, t))
+        for _ in range(6):
+            f = rand_at(fam, rng.choice(levels), sample, rng, terms=rng.randint(1, 4))
+            g = rand_at(fam, rng.choice(levels), sample, rng, terms=rng.randint(1, 4))
+            got, want = convolve(f, g), join_route_convolve(f, g)
+            assert got.level == want.level and got.values == want.values
+
+
+def test_s_meet_is_the_level_of_the_subgroup_sum():
+    """m = s_meet(s, t) divides s and t, so the level-m subgroup contains the
+    sum of the level-s and level-t subgroups; that sum has index
+    index(s) * index(t) / index(s v t), so the index identity makes the
+    containment an equality.  m is also the greatest common divisor."""
+    for fam, levels, _ in _shortcut_cases():
+        for s in levels:
+            for t in levels:
+                m = fam.s_meet(s, t)
+                assert fam.s_divide(s, m) is not None and fam.s_divide(t, m) is not None
+                assert fam.index(s) * fam.index(t) == fam.index(m) * fam.index(fam.s_join(s, t))
+                assert fam.s_meet(t, s) == m
+                for d in levels:
+                    if fam.s_divide(s, d) is not None and fam.s_divide(t, d) is not None:
+                        assert fam.s_divide(m, d) is not None
 
 
 def test_convolve_refinement_invariant(bc):

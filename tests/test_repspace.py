@@ -202,3 +202,13 @@ def test_direct_sum_and_intertwiner(bc, rep):
         assert (two.apply_V(s, T(v)) - T(rep.apply_V(s, v))).norm() < TOL
     n = Fraction(1, 3)
     assert (two.apply_Y(n, T(v)) - T(rep.apply_Y(n, v))).norm() < TOL
+
+
+def test_direct_sum_over_equal_family_instances():
+    one = regular_covariant(BostConnesFamily())
+    two = direct_sum(one, regular_covariant(BostConnesFamily()))
+    T = inclusion_intertwiner("b")
+    v = random_vector(one.family, random.Random(31))
+    assert (two.apply_V(2, T(v)) - T(one.apply_V(2, v))).norm() < TOL
+    with pytest.raises(ConfigError):
+        direct_sum(regular_covariant(BostConnesFamily()), regular_covariant(PadicFamily(2)))

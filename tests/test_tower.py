@@ -166,3 +166,16 @@ def test_separation_witnesses(bc, p2):
         for n in samples:
             s = fam.separating_level(n)
             assert not fam.in_level_subgroup(n, s)
+
+
+def test_elements_from_equal_family_instances_are_equal():
+    x = TruncatedElement.make(BostConnesFamily(), 6, Fraction(1, 2))
+    y = TruncatedElement.make(BostConnesFamily(), 6, Fraction(1, 2))
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert embed_j(PadicFamily(3), Fraction(1, 3)) == embed_j(PadicFamily(3), Fraction(1, 3))
+    assert embed_j(PadicFamily(3), Fraction(1, 3)) != embed_j(PadicFamily(2), Fraction(1, 3))
+    diag = ([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+    assert MatrixFamily(*diag) == MatrixFamily(*diag)
+    assert hash(MatrixFamily(*diag)) == hash(MatrixFamily(*diag))
+    assert MatrixFamily(*diag) != MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]])
+    assert BostConnesFamily() != PadicFamily(2)

@@ -7,6 +7,7 @@ dilation space is float with tolerance 1e-9.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -566,6 +567,71 @@ def test_in_corner_iff_decomposes(corner_case):
         assert in_corner(d) == decomposes
     assert all(in_corner(d) for d in corner)
     assert not any(in_corner(d) for d in outside)
+
+
+# Regression shapes: products whose join level spreads each factor over
+# hundreds of cosets.  Both took about 50 s when convolve refined its
+# factors to the join level before pairing them.
+
+
+def _check_product_by_second_route(x, y, d, points):
+    """Check d == x * y per component g without convolve: its mass is the
+    sum of mass(x_g1) * mass(y_g2) over g1 g2 = g (beta preserves mass and
+    convolution multiplies it), and its value at each point z is the
+    integral sum_c f(c) h(z - c) index(L)^-1 over the level-L cosets c of
+    f = x_g1, with h = beta_g1(y_g2) and L the join of their levels."""
+    fam = d.family
+    parts = {}
+    for g1, f in x.terms.items():
+        for g2, f2 in y.terms.items():
+            parts.setdefault(fam.g_mul(g1, g2), []).append((f, f2, theta_star_g(g1, f2)))
+    assert set(d.terms) <= set(parts)
+    for g, factors in parts.items():
+        out = d.terms.get(g, autodil.zero(fam))
+        assert out.mass() == sum((f.mass() * f2.mass() for f, f2, _ in factors), QC.of(0))
+        for z in points + list(out.values)[:8]:
+            want = QC.of(0)
+            for f, _, h in factors:
+                level = fam.s_join(f.level, h.level)
+                w = QC.of(Fraction(1, fam.index(level)))
+                for c, v in f.refine(level).values.items():
+                    want = want + v * h.eval_at(fam.n_add(z, fam.n_neg(c))) * w
+            assert out.eval_at(z) == want
+
+
+def test_matrix_corner_product_at_join_one_one():
+    fam = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+    a = grpalg.GroupAlgebraElement.build(
+        fam, [((F(0), F(0)), QC(F(1), F(-1))), ((F(1, 2), F(1, 3)), F(2, 3))]
+    )
+    b = grpalg.GroupAlgebraElement.build(
+        fam, [((F(1), F(0)), F(3, 2)), ((F(1, 2), F(2, 3)), QC(F(0), F(1)))]
+    )
+    x = compose_corner(fam, (0, 0), a, (1, 1))
+    y = compose_corner(fam, (1, 1), b, (0, 0))
+    start = time.perf_counter()
+    d = x * y
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{elapsed:.2f}s"
+    assert not d.is_zero()
+    points = [fam.psi_s((1, 1), (F(i), F(-j))) for i, j in ((0, 0), (1, 2), (7, 3), (4, 9))]
+    _check_product_by_second_route(x, y, d, points)
+    assert recompose(fam, corner_decompose(d)) == d
+
+
+def test_padic_module_pairing_at_levels_three_and_zero():
+    fam = PadicFamily(3)
+    a = grpalg.GroupAlgebraElement.build(fam, [(F(1, 3), QC(F(1), F(-1))), (F(2), F(2, 3))])
+    b = grpalg.GroupAlgebraElement.build(fam, [(F(2, 3), F(3, 2)), (F(-1), QC(F(0), F(1)))])
+    x = xprod.module_element(fam, 3, b, 0).star()
+    y = xprod.module_element(fam, 0, a, 3)
+    start = time.perf_counter()
+    d = x * y
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{elapsed:.2f}s"
+    assert not d.is_zero()
+    points = [F(0), F(1, 3), F(5, 27), F(-13, 81), F(40, 729), F(1, 2187)]
+    _check_product_by_second_route(x, y, d, points)
 
 
 def test_serialization_roundtrip(bc):
