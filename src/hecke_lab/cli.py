@@ -785,11 +785,11 @@ def check_x_ind_gram(ctx: Ctx):
     # Module-side Gram via corner algebra, dilation-side Gram via Ore pairs.
     for i, (s1, a1, t1, h1) in enumerate(data):
         v1 = dilate.DilationVector.symbol(
-            s1, _apply_algebra(rep, a1, rep.apply_V(t1, h1))
+            s1, repspace.apply_algebra(rep, a1, rep.apply_V(t1, h1))
         )
         for s2, a2, t2, h2 in data[i:]:
             v2 = dilate.DilationVector.symbol(
-                s2, _apply_algebra(rep, a2, rep.apply_V(t2, h2))
+                s2, repspace.apply_algebra(rep, a2, rep.apply_V(t2, h2))
             )
             try:
                 x1 = xprod.module_element(fam, s1, a1, t1)
@@ -1154,15 +1154,6 @@ def _random_locfun(ctx: Ctx, exact=True):
     for n in ctx.cosets(3):
         pairs.append((n, Fraction(ctx.rng.randint(-4, 4), ctx.rng.randint(1, 4))))
     return autodil.LocFun.build(fam, level, pairs, exact)
-
-
-def _apply_algebra(rep, a, v):
-    out = repspace.SparseVector({})
-    from .coeffs import to_complex
-
-    for n, c in a.values.items():
-        out = out + rep.apply_Y(n, v).scale(to_complex(c))
-    return out
 
 
 CHECKS = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -39,18 +40,23 @@ class DilationVector:
 
     @staticmethod
     def build(pairs) -> "DilationVector":
-        out: dict = {}
+        """Sum the blocks level by level: the blocks of one level are
+        merged by one ``SparseVector.build``, in the order given, and levels
+        whose sum is empty are dropped."""
+        levels: dict = {}
         for s, h in pairs:
-            if s in out:
-                out[s] = out[s] + h
-            else:
+            levels.setdefault(s, []).append(h)
+        out = {}
+        for s, hs in levels.items():
+            h = hs[0] if len(hs) == 1 else SparseVector.build(
+                kc for x in hs for kc in x.values.items()
+            )
+            if h.values:
                 out[s] = h
-        return DilationVector({s: h for s, h in out.items() if h.values})
+        return DilationVector(out)
 
     def __add__(self, other):
-        return DilationVector.build(
-            list(self.blocks.items()) + list(other.blocks.items())
-        )
+        return DilationVector.build(chain(self.blocks.items(), other.blocks.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -76,12 +82,17 @@ class Dilation:
         return DilationVector.symbol(self.family.s_identity, h)
 
     def inner(self, v: DilationVector, w: DilationVector) -> complex:
+        return self._inner(v, w, self.rep.apply_V)
+
+    def _inner(self, v: DilationVector, w: DilationVector, lift) -> complex:
+        """The form, with ``lift(u, h)`` = V_u h."""
+        fam = self.family
         total = 0j
         for s, h in v.blocks.items():
             for t, k in w.blocks.items():
-                u, vv = self.family.ore_pair(s, t)
-                self.family.require_level(self.family.s_mul(u, s))
-                total += self.rep.apply_V(u, h).inner(self.rep.apply_V(vv, k))
+                u, vv = fam.ore_pair(s, t)
+                fam.require_level(fam.s_mul(u, s))
+                total += lift(u, h).inner(lift(vv, k))
         return total
 
     def raise_blocks(self, v: DilationVector) -> DilationVector:
@@ -99,10 +110,11 @@ class Dilation:
         for s in levels[1:]:
             top = fam.s_join(top, s)
         fam.require_level(top)
-        total = SparseVector({})
-        for s, h in v.blocks.items():
-            t = fam.s_divide(top, s)
-            total = total + self.rep.apply_V(t, h)
+        total = SparseVector.build(
+            kc
+            for s, h in v.blocks.items()
+            for kc in self.rep.apply_V(fam.s_divide(top, s), h).values.items()
+        )
         return DilationVector.symbol(top, total)
 
     def norm(self, v: DilationVector) -> float:
@@ -116,11 +128,22 @@ class Dilation:
         return self.norm(v - w)
 
     def gram(self, vectors) -> np.ndarray:
+        """The matrix of ``inner`` over vectors; each V_u h is computed once
+        per call, not once per pair."""
+        lifted = {}
+
+        def lift(u, h):
+            key = (u, id(h))
+            out = lifted.get(key)
+            if out is None:
+                out = lifted[key] = self.rep.apply_V(u, h)
+            return out
+
         n = len(vectors)
         g = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(i, n):
-                val = self.inner(vectors[i], vectors[j])
+                val = self._inner(vectors[i], vectors[j], lift)
                 g[i, j] = val
                 g[j, i] = val.conjugate() if i != j else val
         return g
@@ -173,34 +196,44 @@ class Dilation:
             lambda s, h: self.rep.apply_Y(fam.canon(fam.psi_s(s, n)), h)
         )
 
-    def project_block(self, s, h: SparseVector) -> DilationVector:
-        """Projection of the block (s, h) onto the fixed space of the
-        subgroup unitaries: average the index(s) translations from the
-        solution set over the identity coset."""
+    def project_block(self, s, h: SparseVector) -> SparseVector:
+        """Carrier of the projection of the block (s, h) onto the fixed
+        space of the subgroup unitaries: the average of the index(s)
+        translations of h from the solution set over the identity coset."""
         fam = self.family
-        w = 1.0 / fam.index(s)
-        total = SparseVector({})
-        for m in fam.coset_reps(s):
-            total = total + self.rep.apply_Y(fam.canon(fam.psi_s(s, m)), h).scale(w)
-        return DilationVector.symbol(s, total)
+        w = complex(1.0 / fam.index(s))
+        return SparseVector.build(
+            (k, x * w)
+            for m in fam.coset_reps(s)
+            for k, x in self.rep.apply_Y(fam.canon(fam.psi_s(s, m)), h).values.items()
+        )
 
     def project_fixed(self, v: DilationVector) -> DilationVector:
-        out = DilationVector({})
-        for s, h in v.blocks.items():
-            out = out + self.project_block(s, h)
-        return out
+        return DilationVector.build((s, self.project_block(s, h)) for s, h in v.blocks.items())
 
 
 @dataclass(frozen=True)
 class CompressedRep:
     """The covariant pair recovered from a dilation by restricting the
-    unitaries to the fixed space and compressing."""
+    unitaries to the fixed space and compressing:
+
+        Y_n = W_n,   V_s = U_s,   V_s* = P U_s*,
+
+    with P the fixed-space projection.  ``excess_residuals`` lists the
+    distances by which a truncated fixed space exceeds the embedded carrier,
+    when ``restrict_compress`` measured them."""
 
     dilation: Dilation
-    apply_Y: object
-    apply_V: object
-    apply_Vstar: object
-    excess_residuals: list
+    excess_residuals: tuple = ()
+
+    def apply_Y(self, n, v: DilationVector) -> DilationVector:
+        return self.dilation.apply_W(n, v)
+
+    def apply_V(self, s, v: DilationVector) -> DilationVector:
+        return self.dilation.apply_Us(s, v)
+
+    def apply_Vstar(self, s, v: DilationVector) -> DilationVector:
+        return self.dilation.project_fixed(self.dilation.apply_Ustar(s, v))
 
 
 def restrict_compress(
@@ -235,20 +268,13 @@ def restrict_compress(
         rhs = np.array([dil.inner(f, e) for e in embedded])
         coeffs, *_ = np.linalg.lstsq(ge.T, rhs, rcond=None)
         coeffs = np.asarray(coeffs).reshape(-1)
-        approx = DilationVector({})
-        for c, e in zip(coeffs, embedded):
-            approx = approx + e.scale(complex(c))
+        approx = DilationVector.build(
+            (s, h.scale(complex(c)))
+            for c, e in zip(coeffs, embedded)
+            for s, h in e.blocks.items()
+        )
         residual = dil.distance(f, approx)
         if residual > tol:
             excess.append(residual)
 
-    def apply_Y(n, v):
-        return dil.apply_W(n, v)
-
-    def apply_V(s, v):
-        return dil.apply_Us(s, v)
-
-    def apply_Vstar(s, v):
-        return dil.project_fixed(dil.apply_Ustar(s, v))
-
-    return CompressedRep(dil, apply_Y, apply_V, apply_Vstar, excess)
+    return CompressedRep(dil, tuple(excess))

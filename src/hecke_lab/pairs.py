@@ -236,6 +236,17 @@ class PairFamily:
         """Some s with n outside psi_s^-1(M), witnessing trivial intersection."""
         raise NotImplementedError
 
+    # -- sampling for randomised checks ---------------------------------------
+
+    def random_coset(self, rng, depth: int):
+        """A canonical N/M coset reachable at a small level, drawn from rng;
+        ``depth`` bounds the denominators where the family has a use for it."""
+        raise NotImplementedError
+
+    def sample_levels(self):
+        """A few small levels for randomised self-checks."""
+        raise NotImplementedError
+
     def to_config(self) -> dict:
         raise NotImplementedError
 
@@ -347,6 +358,13 @@ class BostConnesFamily(PairFamily):
             raise ConfigError("the identity lies in every level subgroup")
         return abs(n.numerator) + 1
 
+    def random_coset(self, rng, depth: int):
+        den = rng.randint(1, depth)
+        return self.canon(Fraction(rng.randrange(den), den))
+
+    def sample_levels(self):
+        return [1, 2, 3, 4, 6]
+
     def to_config(self):
         return {"family": self.tag}
 
@@ -452,6 +470,13 @@ class PadicFamily(PairFamily):
             k //= self.p
             l += 1
         return l + 1
+
+    def random_coset(self, rng, depth: int):
+        q = self.p ** rng.randint(0, 3)
+        return self.canon(Fraction(rng.randrange(q), q))
+
+    def sample_levels(self):
+        return [0, 1, 2]
 
     def to_config(self):
         return {"family": self.tag, "p": self.p}
@@ -662,6 +687,14 @@ class MatrixFamily(PairFamily):
             if not self.in_level_subgroup(n, s):
                 return s
         raise ConfigError(f"no separating level below {search} for {n!r}")
+
+    def random_coset(self, rng, depth: int):
+        s = (rng.randint(0, 2), rng.randint(0, 2))
+        v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(self.dim))
+        return self.canon(self.psi_s(s, v))
+
+    def sample_levels(self):
+        return [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def to_config(self):
         return {"family": self.tag, "F": self.F, "M": self.Mmat}

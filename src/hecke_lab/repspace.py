@@ -19,16 +19,41 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
+from .coeffs import to_complex
 from .errors import ConfigError
 from .pairs import PairFamily
 
 
+def _accumulate(out: dict, pairs) -> dict:
+    """Add each (key, value) into ``out`` in order, dropping keys whose sum
+    is zero; a dropped key that comes back starts again from its value."""
+    get = out.get
+    for k, c in pairs:
+        c = complex(c)
+        prev = get(k)
+        if prev is not None:
+            c = prev + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SparseVector:
-    """Finitely supported complex vector over hashable basis keys."""
+    """Finitely supported complex vector over hashable basis keys.
+
+    Invariant: keys are canonical N/M cosets (fixed points of ``canon``;
+    on a ``direct_sum`` carrier, (summand tag, canonical coset) pairs) and
+    values are non-zero ``complex``.  ``build`` and ``+`` sum a key's
+    contributions left to right, in the order they are given, so a sum
+    written as one ``build`` equals, value for value, the same sum written
+    as ``total = total + x``.  Code that constructs a vector directly must
+    keep the invariant itself.
+    """
 
     values: dict = field(default_factory=dict)
 
@@ -38,19 +63,11 @@ class SparseVector:
 
     @staticmethod
     def build(pairs) -> "SparseVector":
-        out = {}
-        for k, c in pairs:
-            c = complex(c)
-            if k in out:
-                c = out[k] + c
-            if c == 0:
-                out.pop(k, None)
-            else:
-                out[k] = c
-        return SparseVector(out)
+        return SparseVector(_accumulate({}, pairs))
 
     def __add__(self, other):
-        return SparseVector.build(list(self.values.items()) + list(other.values.items()))
+        # The copy reuses the stored hashes of the left operand's keys.
+        return SparseVector(_accumulate(dict(self.values), other.values.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -59,7 +76,7 @@ class SparseVector:
         c = complex(c)
         if c == 0:
             return SparseVector({})
-        return SparseVector({k: v * c for k, v in self.values.items()})
+        return SparseVector({k: x for k, v in self.values.items() if (x := v * c)})
 
     def inner(self, other: "SparseVector") -> complex:
         if len(other.values) < len(self.values):
@@ -104,21 +121,30 @@ def regular_covariant(
     """The translation representation; construction self-checks covariance."""
 
     def apply_Y(n, v: SparseVector) -> SparseVector:
+        """Translation by n is a bijection of N/M: distinct keys go to
+        distinct keys, so the dict is filled directly."""
         n = family.canon(n)
-        return SparseVector.build(
-            (family.canon(family.n_add(n, k)), c) for k, c in v.values.items()
+        return SparseVector(
+            {family.canon(family.n_add(n, k)): c for k, c in v.values.items()}
         )
 
     def apply_V(s, v: SparseVector) -> SparseVector:
+        """Each key spreads over its ``solve_coset`` solutions; the solution
+        sets of distinct keys are disjoint, so the dict is filled directly.
+        A product that underflows to zero is dropped."""
         family.validate_s(s)
         w = 1.0 / math.sqrt(family.index(s))
-        pairs = []
+        out = {}
         for k, c in v.values.items():
-            for m in family.solve_coset(s, k):
-                pairs.append((m, c * w))
-        return SparseVector.build(pairs)
+            x = c * w
+            if x:
+                for m in family.solve_coset(s, k):
+                    out[m] = x
+        return SparseVector(out)
 
     def apply_Vstar(s, v: SparseVector) -> SparseVector:
+        """Many-to-one: the index(s) keys of one ``solve_coset`` set all go
+        to the same key, so their values are summed by ``build``."""
         family.validate_s(s)
         w = 1.0 / math.sqrt(family.index(s))
         return SparseVector.build(
@@ -141,10 +167,10 @@ def verify_covariance(rep: CovariantRep, s, n, v: SparseVector) -> float:
     """Norm of (V_s Y_n V_s* - averaged translations) applied to v."""
     fam = rep.family
     lhs = rep.apply_V(s, rep.apply_Y(n, rep.apply_Vstar(s, v)))
-    w = 1.0 / fam.index(s)
-    rhs = SparseVector({})
-    for m in fam.solve_coset(s, n):
-        rhs = rhs + rep.apply_Y(m, v).scale(w)
+    w = complex(1.0 / fam.index(s))
+    rhs = SparseVector.build(
+        (k, x * w) for m in fam.solve_coset(s, n) for k, x in rep.apply_Y(m, v).values.items()
+    )
     return (lhs - rhs).norm()
 
 
@@ -153,11 +179,18 @@ def average_projection(unitaries, v: SparseVector) -> SparseVector:
     they all fix, whenever the maps close into a finite group."""
     if not unitaries:
         raise ConfigError("cannot average an empty family")
-    total = SparseVector({})
-    w = 1.0 / len(unitaries)
-    for u in unitaries:
-        total = total + u(v).scale(w)
-    return total
+    w = complex(1.0 / len(unitaries))
+    return SparseVector.build((k, x * w) for u in unitaries for k, x in u(v).values.items())
+
+
+def apply_algebra(rep: CovariantRep, a, v: SparseVector) -> SparseVector:
+    """pi(a) v = sum of c_n Y_n v for a group-algebra element a = sum c_n delta_n."""
+    pairs = []
+    for n, c in a.values.items():
+        c = to_complex(c)
+        if c:
+            pairs.extend((k, x * c) for k, x in rep.apply_Y(n, v).values.items())
+    return SparseVector.build(pairs)
 
 
 def direct_sum(rep_a: CovariantRep, rep_b: CovariantRep) -> CovariantRep:
@@ -203,21 +236,7 @@ def inclusion_intertwiner(tag: str = "a"):
 
 def random_cosets(family: PairFamily, rng: random.Random, count: int, depth: int = 12):
     """Sample canonical N/M cosets reachable at small levels."""
-    out = []
-    tag = family.tag
-    for _ in range(count):
-        if tag == "bost-connes":
-            den = rng.randint(1, depth)
-            num = rng.randrange(den)
-            out.append(family.canon(Fraction(num, den)))
-        elif tag == "padic":
-            l = rng.randint(0, 3)
-            out.append(family.canon(Fraction(rng.randrange(family.p**l), family.p**l)))
-        else:
-            s = (rng.randint(0, 2), rng.randint(0, 2))
-            v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(family.dim))
-            out.append(family.canon(family.psi_s(s, v)))
-    return out
+    return [family.random_coset(rng, depth) for _ in range(count)]
 
 
 def random_vector(
@@ -231,18 +250,9 @@ def random_vector(
 
 def _covariance_samples(family: PairFamily, rng: random.Random, trials: int):
     samples = []
-    small = _small_s(family)
+    small = family.sample_levels()
     for _ in range(trials):
         s = rng.choice(small)
         n = random_cosets(family, rng, 1)[0]
         samples.append((s, n, random_vector(family, rng)))
     return samples
-
-
-def _small_s(family: PairFamily):
-    tag = family.tag
-    if tag == "bost-connes":
-        return [1, 2, 3, 4, 6]
-    if tag == "padic":
-        return [0, 1, 2]
-    return [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -43,10 +43,10 @@ from fractions import Fraction
 from . import autodil, grpalg, tower
 from .autodil import LocFun
 from .coeffs import QC, to_complex
-from .dilate import Dilation, DilationVector
+from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
 from .pairs import PairFamily
-from .repspace import CovariantRep, SparseVector
+from .repspace import CovariantRep, SparseVector, apply_algebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,14 +295,11 @@ def _qc_inv(c: QC) -> QC:
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:
     """Evaluate a sum of v_s^* i(a) v_t triples as V_s^* pi(a) V_t."""
-    out = SparseVector({})
-    for s, a, t in triples:
-        w = rep.apply_V(t, v)
-        acc = SparseVector({})
-        for n, c in a.values.items():
-            acc = acc + rep.apply_Y(n, w).scale(to_complex(c))
-        out = out + rep.apply_Vstar(s, acc)
-    return out
+    return SparseVector.build(
+        kc
+        for s, a, t in triples
+        for kc in rep.apply_Vstar(s, apply_algebra(rep, a, rep.apply_V(t, v))).values.items()
+    )
 
 
 class InducedRep:
@@ -321,7 +318,7 @@ class InducedRep:
     def act(self, d: CrossedElement, vec: DilationVector) -> DilationVector:
         """Apply sum f u_g through the cylinder rewriting."""
         fam = self.family
-        out = DilationVector({})
+        levels: dict = {}
         for g, f in d.terms.items():
             for s, h in vec.blocks.items():
                 gs = fam.g_mul(g, fam.g_inv(fam.g_from_s(s)))
@@ -338,10 +335,12 @@ class InducedRep:
                 for c, val in inner.values.items():
                     n = fam.canon(fam.psi_s(level, c))
                     coeff = to_complex(val) * float(weight)
-                    out = out + DilationVector.symbol(
-                        target_s, self.rep.apply_Y(n, carrier).scale(coeff)
-                    )
-        return out
+                    moved = self.rep.apply_Y(n, carrier).values
+                    if moved:
+                        levels.setdefault(target_s, []).extend(
+                            (k, x * coeff) for k, x in moved.items()
+                        )
+        return DilationVector.build((s, SparseVector.build(p)) for s, p in levels.items())
 
     def rho_p(self, vec: DilationVector) -> DilationVector:
         """rho of the distinguished projection: blockwise averaging."""
@@ -362,31 +361,9 @@ def theta_map(induced: InducedRep, d: CrossedElement, h: SparseVector) -> Dilati
     return induced.act(pd, induced.phi(h))
 
 
-@dataclass(frozen=True)
-class CornerRestriction:
-    """The covariant pair recovered from a crossed-product representation by
-    restriction to the projection's range and compression."""
-
-    source: object
-    apply_Y: object
-    apply_V: object
-    apply_Vstar: object
-
-
-def rc(induced) -> CornerRestriction:
+def rc(induced) -> CompressedRep:
     """Restriction-compression: inverse of the induction functor."""
-    dil = induced.dilation
-
-    def apply_Y(n, vec):
-        return dil.apply_W(n, vec)
-
-    def apply_V(s, vec):
-        return dil.apply_Us(s, vec)
-
-    def apply_Vstar(s, vec):
-        return induced.rho_p(dil.apply_Ustar(s, vec))
-
-    return CornerRestriction(induced, apply_Y, apply_V, apply_Vstar)
+    return CompressedRep(induced.dilation)
 
 
 class ExtendedRep:
@@ -437,10 +414,11 @@ class ExtendedRep:
         return back.scale(1.0 / fam.index(level))
 
     def rho(self, f: LocFun, vec: DilationVector) -> DilationVector:
-        out = DilationVector({})
-        for c, val in f.values.items():
-            out = out + self.rho_cylinder(f.level, c, vec).scale(to_complex(val))
-        return out
+        return DilationVector.build(
+            block
+            for c, val in f.values.items()
+            for block in self.rho_cylinder(f.level, c, vec).scale(to_complex(val)).blocks.items()
+        )
 
 
 def extend_rep(rep: CovariantRep) -> ExtendedRep:

@@ -16,6 +16,7 @@ from hecke_lab.pairs import BostConnesFamily, PadicFamily
 from hecke_lab import dilate
 from hecke_lab.dilate import Dilation, DilationVector, restrict_compress
 from hecke_lab.repspace import SparseVector, random_vector, regular_covariant
+from test_repspace import _cancelling_vectors, pairwise_sum
 
 TOL = 1e-9
 
@@ -237,3 +238,86 @@ def test_padic_dilation():
     assert dil.distance(sym(1, h), sym(3, rep.apply_V(2, h))) < TOL
     out = dil.apply_W(Fraction(1, 2), sym(1, SparseVector.basis(Fraction(0))))
     assert set(out.blocks[1].values) == {Fraction(1, 4)}
+
+
+# -- linear-time sums against the pairwise route ------------------------------
+
+
+def pairwise_dilation_sum(vectors) -> DilationVector:
+    """Reference route: ``total = total + x`` where each step merges a
+    level's blocks with the pairwise ``SparseVector`` sum and drops empty
+    levels."""
+    total = DilationVector({})
+    for x in vectors:
+        blocks = dict(total.blocks)
+        for s, h in x.blocks.items():
+            blocks[s] = pairwise_sum([blocks[s], h]) if s in blocks else h
+        total = DilationVector({s: h for s, h in blocks.items() if h.values})
+    return total
+
+
+def _same_blocks(got: DilationVector, ref: DilationVector):
+    # Level order is not compared: a level whose blocks cancel exactly
+    # part-way through a sum keeps its first position in ``build`` but moves
+    # to the end in the pairwise route.
+    assert set(got.blocks) == set(ref.blocks)
+    for s, h in ref.blocks.items():
+        assert list(got.blocks[s].values.items()) == list(h.values.items())
+
+
+def test_dilation_sums_match_pairwise_route():
+    rng = random.Random(71)
+    for _ in range(200):
+        vs = [
+            DilationVector.build(
+                (rng.choice([1, 2, 3]), h) for h in _cancelling_vectors(rng, rng.randint(1, 3))
+            )
+            for _ in range(rng.randint(1, 5))
+        ]
+        ref = pairwise_dilation_sum(vs)
+        _same_blocks(DilationVector.build(b for v in vs for b in v.blocks.items()), ref)
+        total = DilationVector({})
+        for v in vs:
+            total = total + v
+        _same_blocks(total, ref)
+
+
+def test_projection_and_raising_match_pairwise_route(dil, rep, bc):
+    rng = random.Random(73)
+    for _ in range(20):
+        v = DilationVector.build(
+            (s, random_vector(bc, rng)) for s in rng.sample([1, 2, 3, 4, 6], rng.randint(1, 3))
+        )
+        ref = pairwise_dilation_sum(
+            sym(s, pairwise_sum(
+                rep.apply_Y(bc.canon(bc.psi_s(s, m)), h).scale(1.0 / bc.index(s))
+                for m in bc.coset_reps(s)
+            ))
+            for s, h in v.blocks.items()
+        )
+        _same_blocks(dil.project_fixed(v), ref)
+        raised = dil.raise_blocks(v)
+        if len(v.blocks) > 1:
+            (top, h), = raised.blocks.items()
+            ref = pairwise_sum(rep.apply_V(bc.s_divide(top, s), k) for s, k in v.blocks.items())
+            assert list(h.values.items()) == list(ref.values.items())
+
+
+def test_gram_equals_pairwise_inner(dil, bc):
+    """gram shares each V_u h across the pairs of one call; its entries
+    must still equal ``inner`` exactly."""
+    rng = random.Random(79)
+    vecs = [
+        DilationVector.build(
+            (s, random_vector(bc, rng)) for s in rng.sample([1, 2, 3, 4, 6], rng.randint(1, 3))
+        )
+        for _ in range(8)
+    ]
+    vecs.append(vecs[0])
+    g = dil.gram(vecs)
+    for i, v in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            val = dil.inner(v, vecs[j])
+            assert g[i, j] == val
+            if j != i:
+                assert g[j, i] == val.conjugate()

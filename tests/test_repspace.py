@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from hecke_lab.coeffs import QC
 from hecke_lab.errors import ConfigError
+from hecke_lab.grpalg import GroupAlgebraElement
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import repspace
 from hecke_lab.repspace import (
@@ -20,6 +22,7 @@ from hecke_lab.repspace import (
     average_projection,
     direct_sum,
     inclusion_intertwiner,
+    random_cosets,
     random_vector,
     regular_covariant,
     verify_covariance,
@@ -212,3 +215,126 @@ def test_direct_sum_over_equal_family_instances():
     assert (two.apply_V(2, T(v)) - T(one.apply_V(2, v))).norm() < TOL
     with pytest.raises(ConfigError):
         direct_sum(regular_covariant(BostConnesFamily()), regular_covariant(PadicFamily(2)))
+
+
+# -- linear-time sums -----------------------------------------------------
+
+
+def pairwise_sum(vectors) -> SparseVector:
+    """Reference route for every sum of vectors: ``total = total + x`` with
+    each step rebuilding the whole dict through ``build``."""
+    total = SparseVector({})
+    for x in vectors:
+        total = SparseVector.build(list(total.values.items()) + list(x.values.items()))
+    return total
+
+
+def _cancelling_vectors(rng, count, keys=6):
+    """Vectors on a few shared keys with values in a small set closed under
+    negation, so that partial sums cancel exactly and keys drop out and
+    come back."""
+    vals = (1 + 0j, -1 + 0j, 0.5j, -0.5j, 0.25 - 0.75j, -0.25 + 0.75j)
+    out = []
+    for _ in range(count):
+        ks = rng.sample(range(keys), rng.randint(1, keys))
+        out.append(SparseVector.build((Fraction(k, keys), rng.choice(vals)) for k in ks))
+    return out
+
+
+def _same(got: SparseVector, ref: SparseVector):
+    assert list(got.values.items()) == list(ref.values.items())
+    assert all(type(c) is complex and c != 0 for c in got.values.values())
+
+
+def test_sums_match_pairwise_route_with_cancellations():
+    rng = random.Random(43)
+    cancelled = 0
+    for _ in range(300):
+        vs = _cancelling_vectors(rng, rng.randint(1, 6))
+        ref = pairwise_sum(vs)
+        cancelled += any(k not in ref.values for v in vs for k in v.values)
+        _same(SparseVector.build(kc for v in vs for kc in v.values.items()), ref)
+        total = SparseVector({})
+        for v in vs:
+            total = total + v
+        _same(total, ref)
+        _same(pairwise_sum([vs[0], vs[-1].scale(-1)]), vs[0] - vs[-1])
+    assert cancelled > 50
+
+
+def test_accumulators_match_pairwise_route(rep):
+    rng = random.Random(47)
+    for _ in range(40):
+        v = _cancelling_vectors(rng, 1)[0]
+        maps = [
+            (lambda m: (lambda x: rep.apply_Y(Fraction(m, 6), x)))(m)
+            for m in rng.sample(range(6), rng.randint(1, 4))
+        ]
+        w = 1.0 / len(maps)
+        _same(average_projection(maps, v), pairwise_sum(u(v).scale(w) for u in maps))
+        a = GroupAlgebraElement.build(
+            rep.family, [(Fraction(m, 6), QC.of(rng.choice((1, -1, 2)))) for m in range(4)]
+        )
+        _same(
+            repspace.apply_algebra(rep, a, v),
+            pairwise_sum(rep.apply_Y(n, v).scale(complex(c)) for n, c in a.values.items()),
+        )
+
+
+FAMILY_IDS = ["bost-connes", "padic3", "matrix-diag", "matrix-skew"]
+
+
+def _four_families():
+    return [
+        BostConnesFamily(),
+        PadicFamily(3),
+        MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+    ]
+
+
+@pytest.mark.parametrize("fam", _four_families(), ids=FAMILY_IDS)
+def test_apply_y_and_v_match_build_route(fam):
+    """apply_Y and apply_V fill their dicts without ``build``; the result
+    must equal, key order included, what ``build`` makes from the same pairs."""
+    rep = regular_covariant(fam)
+    rng = random.Random(53)
+    for _ in range(6):
+        v = random_vector(fam, rng, terms=4)
+        n = random_cosets(fam, rng, 1)[0]
+        ref = SparseVector.build(
+            (fam.canon(fam.n_add(fam.canon(n), k)), c) for k, c in v.values.items()
+        )
+        _same(rep.apply_Y(n, v), ref)
+        for s in fam.sample_levels():
+            w = 1.0 / math.sqrt(fam.index(s))
+            ref = SparseVector.build(
+                (m, c * w) for k, c in v.values.items() for m in fam.solve_coset(s, k)
+            )
+            got = rep.apply_V(s, v)
+            _same(got, ref)
+            assert all(fam.canon(k) == k for k in got.values)
+
+
+@pytest.mark.parametrize("fam", _four_families(), ids=FAMILY_IDS)
+def test_vstar_sums_a_solution_set_onto_one_key(fam):
+    """V_s^* is many-to-one: it sends the index(s) solutions of n onto n,
+    so it maps their sum to sqrt(index(s)) xi_n, not to one term."""
+    rep = regular_covariant(fam, check=False)
+    rng = random.Random(59)
+    for n in random_cosets(fam, rng, 3):
+        for s in fam.sample_levels():
+            spread = SparseVector.build((m, 1) for m in fam.solve_coset(s, n))
+            out = rep.apply_Vstar(s, spread)
+            assert list(out.values) == [fam.canon(n)]
+            root = math.sqrt(fam.index(s))
+            assert abs(out.values[fam.canon(n)] - root) < TOL * root
+
+
+def test_random_cosets_are_canonical():
+    rng = random.Random(61)
+    for fam in _four_families():
+        for s in fam.sample_levels():
+            fam.validate_s(s)
+        for n in random_cosets(fam, rng, 20):
+            assert fam.canon(n) == n
