@@ -78,12 +78,14 @@ class LocFun:
                 f"cannot refine from level {self.level!r} to non-multiple {t!r}"
             )
         fam.require_level(t)
+        # The level-t cosets below one level-s coset are disjoint from those
+        # below another, so the dict is filled directly.
         splitters = [fam.psi_s_inv(self.level, m) for m in fam.coset_reps(r)]
-        pairs = []
+        values = {}
         for c, v in self.values.items():
-            for w in splitters:
-                pairs.append((fam.n_add(c, w), v))
-        out = LocFun.build(fam, t, pairs, self.exact)
+            for key in fam.translate(c, splitters, t):
+                values[key] = v
+        out = LocFun(fam, t, values, self.exact)
         self._refined[t] = out
         return out
 
@@ -211,13 +213,13 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     """
     fam = f.family
     t = f.common_level(g)
+    m = fam.s_meet(f.level, g.level)
     w = Fraction(1, fam.index(t))
     pairs = []
     for ca, va in f.values.items():
         va = scale(va, w)
-        for cb, vb in g.values.items():
-            pairs.append((fam.n_add(ca, cb), va * vb))
-    m = fam.s_meet(f.level, g.level)
+        for key, vb in zip(fam.translate(ca, g.values, m), g.values.values()):
+            pairs.append((key, va * vb))
     return LocFun.build(fam, m, pairs, f.exact and g.exact).refine(t)
 
 
@@ -231,16 +233,15 @@ def embed_i(a: grpalg.GroupAlgebraElement) -> LocFun:
 
 
 def theta_star(s, f: LocFun) -> LocFun:
-    """The rescaled push-forward along theta_s; stays at f's level.
+    """The rescaled push-forward along theta_s: the level-a solve, at f's
+    level a.
 
     On a level-a cylinder over c it spreads mass index(s)^-1 over the
-    index(s) level-a cylinders whose theta_s-preimage is the one over c;
-    those are the translates of psi_s(c) by the (level-adjusted) images of
-    the transversal.  The spreads of distinct level-a cosets c are
-    disjoint, since each target cylinder has one preimage, and the
-    index(s) targets of one c are distinct.  So the keys need ``canon``
-    (a translate is not canonical by construction when the HNF is not
-    diagonal) but no merging or zero test: skip ``build``.
+    index(s) level-a cylinders whose theta_s-preimage is the one over c,
+    that is over ``solve_coset(s, c, a)``.  The spreads of distinct
+    level-a cosets c are disjoint, since each target cylinder has one
+    preimage, and the index(s) targets of one c are distinct and
+    canonical, so no merging or zero test is needed: skip ``build``.
     """
     fam = f.family
     fam.validate_s(s)
@@ -248,18 +249,13 @@ def theta_star(s, f: LocFun) -> LocFun:
         return f
     a = f.level
     w = Fraction(1, fam.index(s))
-    if a == fam.s_identity:
-        shifts = fam.psi_reps(s)
-    else:
-        shifts = [fam.psi_s_inv(a, pm) for pm in fam.psi_reps(s)]
     out = {}
     for c, v in f.values.items():
         spread = scale(v, w)
         if is_zero(spread):  # a float coefficient can underflow to zero
             continue
-        base = fam.psi_s(s, c)
-        for pm in shifts:
-            out[fam.canon(fam.n_add(base, pm), a)] = spread
+        for m in fam.solve_coset(s, c, a):
+            out[m] = spread
     return LocFun(fam, a, out, f.exact)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import adeles, autodil, dilate, grpalg, repspace, tower, xprod
 from .errors import ConfigError, HeckeLabError, LevelCapError
-from .pairs import BostConnesFamily, MatrixFamily, PadicFamily, PairFamily, family_from_config
+from .pairs import BostConnesFamily, MatrixFamily, PairFamily, family_from_config
 
 SUITES = ("algebra", "tower", "autodil", "dilation", "appendix", "adeles", "all", "none")
 
@@ -79,17 +79,10 @@ class Ctx:
     cache: dict = field(default_factory=dict)
 
     def small_s(self):
-        fam = self.family
-        if isinstance(fam, BostConnesFamily):
-            return list(range(1, self.depth + 2)) + [6, 12][: max(0, self.depth - 1)]
-        if isinstance(fam, PadicFamily):
-            return list(range(0, min(self.depth, 3) + 1))
-        # Keep component sums small: dilation paths multiply levels, and the
-        # quotient sizes grow exponentially in each component.
-        d = min(self.depth, 2)
-        out = [(a, b) for a in range(d + 1) for b in range(d + 1) if a + b <= d]
-        out.sort(key=fam.index)
-        return out
+        return self.family.small_levels(self.depth)
+
+    def sample_M(self, count):
+        return [self.family.random_M(self.rng) for _ in range(count)]
 
     def cosets(self, count):
         return repspace.random_cosets(self.family, self.rng, count, depth=self.max_level)
@@ -163,7 +156,7 @@ def check_reps_partition(ctx: Ctx):
             if fam.canon(rep, s) not in reps:
                 return _exact(False, f"non-canonical representative at {s!r}")
         # Sampled subgroup elements fall into exactly one class.
-        for m in _sample_M(ctx, 8):
+        for m in ctx.sample_M(8):
             if fam.canon(m, s) not in reps:
                 return _exact(False, f"subgroup element escaped the transversal at {s!r}")
     return _exact(True)
@@ -926,7 +919,7 @@ def check_extend_restrict(ctx: Ctx):
         except (LevelCapError, HeckeLabError):
             continue
         worst = max(worst, dil.distance(lhs, rhs))
-    for m in _sample_M(ctx, 4):
+    for m in ctx.sample_M(4):
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
         worst = max(worst, res.m_fixed_deviation(m, v))
     # The unit expressed on deeper cylinders acts as the fixed-space cut.
@@ -1125,17 +1118,6 @@ def check_transpose_coincidence(ctx: Ctx):
 
 # ---------------------------------------------------------------------------
 # helpers and the registry
-
-
-def _sample_M(ctx: Ctx, count):
-    fam = ctx.family
-    out = []
-    for _ in range(count):
-        if isinstance(fam, MatrixFamily):
-            out.append(tuple(Fraction(ctx.rng.randint(-6, 6)) for _ in range(fam.dim)))
-        else:
-            out.append(Fraction(ctx.rng.randint(-20, 20)))
-    return out
 
 
 def _random_algebra_element(ctx: Ctx, terms=3):

@@ -72,8 +72,8 @@ class GroupAlgebraElement:
         fam = self.family
         pairs = []
         for a, ca in self.values.items():
-            for b, cb in other.values.items():
-                pairs.append((fam.n_add(a, b), ca * cb))
+            for key, cb in zip(fam.translate(a, other.values), other.values.values()):
+                pairs.append((key, ca * cb))
         return GroupAlgebraElement.build(fam, pairs, self.exact and other.exact)
 
     def scale(self, q: Fraction) -> "GroupAlgebraElement":

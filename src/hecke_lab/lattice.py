@@ -8,6 +8,7 @@ representatives and an exact count equal to |det A|.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -138,21 +139,33 @@ def hnf_reduce(h, v):
     """Canonical representative of a rational vector modulo the HNF lattice.
 
     Subtracts integer multiples of the columns of `h` top row first, landing
-    coordinate i in [0, h[i][i]).  Exact on Fractions.  Canonical input, a
+    coordinate i in [0, h[i][i]): ``hnf_reduce_int`` on the numerators of v
+    over their common denominator.  Exact.  Canonical input, a
     tuple of Fractions already in the box, is returned unchanged (the same
     object); any other input comes back as a new tuple of Fractions.
     """
     if in_hnf_box(h, v):
         return v
     x = [Fraction(c) for c in v]
-    n = len(x)
+    den = math.lcm(*(c.denominator for c in x))
+    scaled = [[den * c for c in row] for row in h]
+    y = hnf_reduce_int(scaled, [c.numerator * (den // c.denominator) for c in x])
+    return tuple(Fraction(c, den) for c in y)
+
+
+def hnf_reduce_int(h, y):
+    """The box representative of the integer vector y modulo the lattice
+    of h, as a new list of ints: y/den modulo the lattice of h/den, for any
+    den, in numerators over den."""
+    y = list(y)
+    n = len(y)
     for i in range(n):
-        q = x[i].numerator // (h[i][i] * x[i].denominator)
+        q = y[i] // h[i][i]
         if q:
             for r in range(i, n):
                 if h[r][i]:
-                    x[r] -= q * h[r][i]
-    return tuple(x)
+                    y[r] -= q * h[r][i]
+    return y
 
 
 def hnf_box_count(h) -> int:

@@ -14,6 +14,26 @@ Every operation is pure; elements are plain hashable Python values
 S carries the right-invariant direction s <= t iff t is an S-multiple of s,
 which is a lattice order for all three families, so Ore pairs are computed
 from deterministic least upper bounds.
+
+Coset translation runs on integers.  Keys stay Fractions (tuples of them
+for ``matrix``) at the API, but ``solve_coset`` and ``translate`` write
+their inputs as integer numerators over one denominator and build each
+output Fraction once, instead of adding and reducing Fractions per coset:
+
+* ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
+  at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
+  range(index(s)).  Each lies in [0, index(a)), so it is canonical at
+  level a as it stands: no modular reduction is needed.
+* ``solve_coset(s, n, a)`` for ``matrix``, with n = v/q and D = index(s):
+  the numerators over L = q*D of the solutions are adj(A_s)(v + q*A_a m)
+  for m in the level-s transversal, where A_s = F^s0 M^s1 and
+  adj(A_s) = D*A_s^-1.  They are reduced by the integer HNF of A_a scaled
+  by L, which at the identity level is a mod L per coordinate.
+* ``translate(x, keys, a)`` writes x and the keys over their common
+  denominator and makes one integer add and one reduction per coordinate.
+
+``psi_reps`` with ``n_add`` and ``canon`` is the Fraction route that the
+tests compare these against.
 """
 
 from __future__ import annotations
@@ -30,6 +50,7 @@ from .lattice import (
     hermite_normal_form,
     hnf_box_count,
     hnf_reduce,
+    hnf_reduce_int,
     in_hnf_box,
     int_det,
     iter_hnf_box,
@@ -186,45 +207,73 @@ class PairFamily:
         """Stream the canonical representatives of M / psi_s^-1(M)."""
         raise NotImplementedError
 
-    def coset_reps(self, s):
-        self.validate_s(s)
+    def _enumerable_index(self, s) -> int:
+        """index(s), or LevelCapError when that many cosets may not be listed."""
         count = self.index(s)
         if count > ENUMERATION_CAP:
             raise LevelCapError(
                 f"{self.tag}: quotient of size {count} exceeds the enumeration cap"
             )
+        return count
+
+    def coset_reps(self, s):
+        self._enumerable_index(s)
         return list(self.iter_coset_reps(s))
 
     def psi_reps(self, s):
-        """Cached images psi_s(m) of the level-s transversal."""
+        """Cached images psi_s(m) of the level-s transversal.
+
+        The reference route: the Fraction translates n_add(psi_s(n), pm),
+        reduced by ``canon``, are what ``solve_coset`` computes in integers,
+        and the tests compare the two."""
         cache = getattr(self, "_psi_reps_cache", None)
         if cache is None:
             cache = {}
             self._psi_reps_cache = cache
         out = cache.get(s)
         if out is None:
-            count = self.index(s)
-            if count > ENUMERATION_CAP:
-                raise LevelCapError(
-                    f"{self.tag}: quotient of size {count} exceeds the enumeration cap"
-                )
+            self._enumerable_index(s)
             out = tuple(self.psi_s(s, m) for m in self.iter_coset_reps(s))
             cache[s] = out
         return out
 
-    def solve_coset(self, s, n):
-        """All cosets mM with psi_s^-1(m) = n modulo M, as canonical reps.
+    def solve_coset(self, s, n, level=None):
+        """The level-a cosets m with psi_s^-1(m) = n modulo psi_a^-1(M), as
+        canonical level-a reps in transversal order; level=None is a = the
+        identity, cosets modulo M.
 
-        The action is additive on these families, so the solutions are the
-        translates of psi_s(n) by the transversal images; distinct
-        transversal classes give distinct solutions.  Since
-        psi_s^-1(M) is contained in M, the class of psi_s^-1(m) modulo M
-        depends only on the coset mM, so n that are distinct modulo M have
-        disjoint solution sets.
+        The action is additive, so the solutions are the translates of
+        psi_s(n) by psi_a^-1(psi_s(m)) for m in the level-s transversal, and
+        distinct transversal classes give distinct solutions.  Since
+        psi_s^-1 maps the level-a subgroup into itself, n that are distinct
+        at level a have disjoint solution sets.
+
+        In integers, with n = p/q canonical at level a: the scalar families'
+        solutions are (p + k*q*index(a)) / (q*index(s)) for k in
+        range(index(s)), already in [0, index(a)) and so canonical without
+        reduction.  For ``matrix``, with n = v/q, the solutions' numerators
+        over L = q*index(s) are adj(A_s)(v + q*A_a m), reduced by the HNF
+        of A_a scaled by L (a mod L per coordinate at the identity level).  The Fraction route through ``psi_reps`` is the
+        reference the tests compare against.
         """
-        self.validate_s(s)
-        base = self.psi_s(s, self.canon(n))
-        return [self.canon(self.n_add(base, pm)) for pm in self.psi_reps(s)]
+        count = self._enumerable_index(s)
+        return self._solve(s, self.canon(n, level), level, count)
+
+    def _solve(self, s, n, level, count):
+        """``solve_coset`` for n already canonical at level; count = index(s)."""
+        raise NotImplementedError
+
+    def translate(self, x, keys, level=None):
+        """[canon(k + x, level) for k in keys], in the order of keys, always
+        as Fractions (tuples of them for ``matrix``).  The keys need not be
+        canonical; they are iterated twice, so pass a collection.
+
+        In integers: x and the keys are written over their common
+        denominator L, and each output coordinate is one integer add and
+        one reduction, mod index(a)*L for the scalar families and by the
+        HNF of A_a scaled by L for ``matrix`` (a plain mod per coordinate
+        when that HNF is diagonal)."""
+        raise NotImplementedError
 
     # -- caps ----------------------------------------------------------------
 
@@ -245,6 +294,14 @@ class PairFamily:
 
     def sample_levels(self):
         """A few small levels for randomised self-checks."""
+        raise NotImplementedError
+
+    def small_levels(self, depth: int):
+        """The levels the ``verify`` checks range over at a given depth."""
+        raise NotImplementedError
+
+    def random_M(self, rng):
+        """An element of M, drawn from rng with small coordinates."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -278,13 +335,52 @@ def frac_to_str(q: Fraction) -> str:
 def frac_from_json(data) -> Fraction:
     if isinstance(data, str):
         num, _, den = data.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    if isinstance(data, int):
+        try:
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif _is_int(data):
         return Fraction(data)
     raise ConfigError(f"cannot parse rational from {data!r}")
 
 
-class BostConnesFamily(PairFamily):
+def _int_from_json(data, what: str) -> int:
+    """An int read from JSON; anything else (a float, a bool, a string) is
+    a ConfigError rather than a silent int() coercion."""
+    if not _is_int(data):
+        raise ConfigError(f"{what} must be an integer, got {data!r}")
+    return data
+
+
+class _RationalFamily(PairFamily):
+    """The families with N inside Q and M = Z, whose level-s subgroup is
+    index(s)*Z: the integer coding of ``solve_coset`` and ``translate``."""
+
+    def _modulus(self, level):
+        return 1 if level is None else self.index(level)
+
+    def _solve(self, s, n, level, count):
+        # n = p/q lies in [0, index(a)), so (p + k*q*index(a)) / (q*index(s))
+        # does too for k < index(s): canonical without reduction.
+        p, q = n.numerator, n.denominator
+        step, den = q * self._modulus(level), q * count
+        return [Fraction(p + k * step, den) for k in range(count)]
+
+    def translate(self, x, keys, level=None):
+        dens = [k.denominator for k in keys]
+        den = math.lcm(x.denominator, *dens)
+        shift = x.numerator * (den // x.denominator)
+        wrap = self._modulus(level) * den
+        return [
+            Fraction((k.numerator * (den // d) + shift) % wrap, den)
+            for k, d in zip(keys, dens)
+        ]
+
+    def random_M(self, rng):
+        return Fraction(rng.randint(-20, 20))
+
+
+class BostConnesFamily(_RationalFamily):
     """N = Q, M = Z, S = positive integers, psi_s(r) = r/s."""
 
     tag = "bost-connes"
@@ -365,6 +461,9 @@ class BostConnesFamily(PairFamily):
     def sample_levels(self):
         return [1, 2, 3, 4, 6]
 
+    def small_levels(self, depth: int):
+        return list(range(1, depth + 2)) + [6, 12][: max(0, depth - 1)]
+
     def to_config(self):
         return {"family": self.tag}
 
@@ -378,7 +477,7 @@ class BostConnesFamily(PairFamily):
         return s
 
     def s_from_json(self, data):
-        return int(data)
+        return _int_from_json(data, "a bost-connes level")
 
     def g_to_json(self, g):
         return frac_to_str(g)
@@ -387,12 +486,14 @@ class BostConnesFamily(PairFamily):
         return frac_from_json(data)
 
 
-class PadicFamily(PairFamily):
+class PadicFamily(_RationalFamily):
     """N = Z[1/p], M = Z, S = naturals under addition, psi_l(r) = r/p^l."""
 
     tag = "padic"
 
     def __init__(self, p: int, index_cap: int = 5040):
+        if not _is_int(p):
+            raise ConfigError(f"padic family needs an integer prime, got {p!r}")
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ConfigError(f"padic family needs a prime, got {p}")
         self.p = p
@@ -478,6 +579,9 @@ class PadicFamily(PairFamily):
     def sample_levels(self):
         return [0, 1, 2]
 
+    def small_levels(self, depth: int):
+        return list(range(0, min(depth, 3) + 1))
+
     def to_config(self):
         return {"family": self.tag, "p": self.p}
 
@@ -491,7 +595,7 @@ class PadicFamily(PairFamily):
         return s
 
     def s_from_json(self, data):
-        return int(data)
+        return _int_from_json(data, "a padic exponent")
 
     g_to_json = s_to_json
     g_from_json = s_from_json
@@ -544,6 +648,7 @@ class MatrixFamily(PairFamily):
             self.level_cap = tuple(level_cap)
         self._pow_cache = {}
         self._hnf_cache = {}
+        self._solve_cache = {}
         # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
         self._unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         self._transpose = None
@@ -636,6 +741,41 @@ class MatrixFamily(PairFamily):
             return tuple(x % 1 for x in n)
         return hnf_reduce(h, n)
 
+    def _decode(self, level, den, codes):
+        """canon(y/den, level) as a tuple of Fractions, for each list y of
+        integer numerators over den in codes: a reduction by the level's
+        HNF scaled by den."""
+        h = self._unit if level is None else self._hnf(level)
+        scaled = [[den * x for x in row] for row in h]
+        return [tuple([Fraction(c, den) for c in hnf_reduce_int(scaled, y)]) for y in codes]
+
+    def _solve_shifts(self, s, level):
+        """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
+        for m in the level-s transversal, cached per (s, a)."""
+        key = (s, level)
+        cached = self._solve_cache.get(key)
+        if cached is None:
+            D = self.index(s)
+            adj = [[int(x * D) for x in row] for row in self._matrix_power((-s[0], -s[1]))]
+            lift = adj if level is None else mat_mul(adj, self._matrix_power(level))
+            shifts = [mat_vec(lift, [int(c) for c in m]) for m in self.iter_coset_reps(s)]
+            cached = self._solve_cache[key] = (adj, shifts)
+        return cached
+
+    def _solve(self, s, n, level, count):
+        adj, shifts = self._solve_shifts(s, level)
+        q = math.lcm(*(x.denominator for x in n))
+        v = [x.numerator * (q // x.denominator) for x in n]
+        base = [sum(a * b for a, b in zip(row, v)) for row in adj]
+        codes = ([b + q * c for b, c in zip(base, sh)] for sh in shifts)
+        return self._decode(level, q * count, codes)
+
+    def translate(self, x, keys, level=None):
+        den = math.lcm(*(c.denominator for c in x), *(c.denominator for k in keys for c in k))
+        shift = [c.numerator * (den // c.denominator) for c in x]
+        codes = ([c.numerator * (den // c.denominator) + t for c, t in zip(k, shift)] for k in keys)
+        return self._decode(level, den, codes)
+
     def index(self, s) -> int:
         self.validate_s(s)
         return abs(self.detF) ** s[0] * abs(self.detM) ** s[1]
@@ -696,6 +836,17 @@ class MatrixFamily(PairFamily):
     def sample_levels(self):
         return [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+    def small_levels(self, depth: int):
+        # Keep component sums small: dilation paths multiply levels, and the
+        # quotient sizes grow exponentially in each component.
+        d = min(depth, 2)
+        out = [(a, b) for a in range(d + 1) for b in range(d + 1) if a + b <= d]
+        out.sort(key=self.index)
+        return out
+
+    def random_M(self, rng):
+        return tuple(Fraction(rng.randint(-6, 6)) for _ in range(self.dim))
+
     def to_config(self):
         return {"family": self.tag, "F": self.F, "M": self.Mmat}
 
@@ -719,7 +870,9 @@ class MatrixFamily(PairFamily):
         return list(s)
 
     def s_from_json(self, data):
-        return (int(data[0]), int(data[1]))
+        if not isinstance(data, (list, tuple)) or len(data) != 2:
+            raise ConfigError(f"a matrix level is a pair of integers, got {data!r}")
+        return tuple(_int_from_json(x, "a matrix level coordinate") for x in data)
 
     g_to_json = s_to_json
     g_from_json = s_from_json
@@ -753,7 +906,7 @@ def family_from_config(config: dict) -> PairFamily:
     if tag == "padic":
         if "p" not in config:
             raise ConfigError("padic family descriptor needs a prime 'p'")
-        return PadicFamily(int(config["p"]))
+        return PadicFamily(config["p"])
     if tag == "matrix":
         if "F" not in config or "M" not in config:
             raise ConfigError("matrix family descriptor needs integer matrices 'F' and 'M'")

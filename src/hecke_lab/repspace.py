@@ -123,10 +123,7 @@ def regular_covariant(
     def apply_Y(n, v: SparseVector) -> SparseVector:
         """Translation by n is a bijection of N/M: distinct keys go to
         distinct keys, so the dict is filled directly."""
-        n = family.canon(n)
-        return SparseVector(
-            {family.canon(family.n_add(n, k)): c for k, c in v.values.items()}
-        )
+        return SparseVector(dict(zip(family.translate(n, v.values), v.values.values())))
 
     def apply_V(s, v: SparseVector) -> SparseVector:
         """Each key spreads over its ``solve_coset`` solutions; the solution

@@ -227,7 +227,7 @@ def _translate(f: LocFun, x) -> LocFun:
     stay distinct and values are unchanged.
     """
     fam = f.family
-    values = {fam.canon(fam.n_add(c, x), f.level): v for c, v in f.values.items()}
+    values = dict(zip(fam.translate(x, f.values, f.level), f.values.values()))
     return LocFun(fam, f.level, values, f.exact)
 
 
@@ -236,12 +236,10 @@ def _candidate_generators(fam: PairFamily, s, t, f: LocFun):
     the support of f."""
     out = []
     seen = set()
-    shifts = [fam.n_add(fam.psi_s(s, m), fam.psi_s(t, r))
+    shifts = [fam.n_neg(fam.n_add(fam.psi_s(s, m), fam.psi_s(t, r)))
               for m in fam.coset_reps(s) for r in fam.coset_reps(t)]
     for c in f.values:
-        base = fam.psi_s(s, c)
-        for w in shifts:
-            n = fam.canon(fam.n_add(base, fam.n_neg(w)))
+        for n in fam.translate(fam.psi_s(s, c), shifts):
             if n not in seen:
                 seen.add(n)
                 out.append(n)

@@ -429,3 +429,114 @@ def test_element_serialization(bc, mat):
     v = (Fraction(1, 2), Fraction(-3))
     assert mat.n_from_json(mat.n_to_json(v)) == v
     assert mat.s_from_json(mat.s_to_json((2, 1))) == (2, 1)
+
+
+def test_non_integer_parameters_are_config_errors(bc, p3, mat):
+    """No silent int() coercion: a float, bool or string prime, level or
+    group element is refused, where int() would truncate or raise a bare
+    ValueError."""
+    for p in (3.7, 3.0, "x", "3", True, None):
+        with pytest.raises(ConfigError):
+            family_from_config({"family": "padic", "p": p})
+        with pytest.raises(ConfigError):
+            PadicFamily(p)
+    assert family_from_config({"family": "padic", "p": 3}).index(2) == 9
+    for fam, bad in ((bc, 2.5), (bc, "2"), (bc, True), (p3, 1.0), (p3, False),
+                     (mat, [1.5, 0]), (mat, [0, True]), (mat, ["1", 0]), (mat, [1]), (mat, 3)):
+        with pytest.raises(ConfigError):
+            fam.s_from_json(bad)
+        if fam is not bc:  # a bost-connes group element is a rational
+            with pytest.raises(ConfigError):
+                fam.g_from_json(bad)
+    assert p3.g_from_json(-2) == -2 and mat.g_from_json([-1, 2]) == (-1, 2)
+    for bad in ("x", "1/0", "1.5", 2.5, True):
+        with pytest.raises(ConfigError):
+            bc.n_from_json(bad)
+        with pytest.raises(ConfigError):
+            bc.g_from_json(bad)
+
+
+# --- integer-coded translation against the Fraction route -----------------------
+
+
+def _three_by_three():
+    # A = the cyclic permutation matrix has det(c*I + A) = c^3 + 1.
+    a = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    F = [[2 * (i == j) + a[i][j] for j in range(3)] for i in range(3)]  # det 9
+    M = [[(i == j) + a[i][j] for j in range(3)] for i in range(3)]  # det 2
+    return MatrixFamily(F, M)
+
+
+_MAT_LEVELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+ORACLE_FAMILIES = [
+    (BostConnesFamily(), [1, 2, 3, 6], [1, 2, 4, 6, 12]),
+    (PadicFamily(2), [0, 1, 2, 3], [0, 1, 2, 3]),
+    (PadicFamily(3), [0, 1, 2], [0, 1, 2]),
+    (MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]), _MAT_LEVELS, _MAT_LEVELS + [(2, 1)]),
+    (MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]), _MAT_LEVELS, _MAT_LEVELS + [(2, 0)]),
+    (_three_by_three(), [(0, 0), (1, 0), (0, 1)], _MAT_LEVELS),
+]
+
+
+@st.composite
+def n_elements(draw, fam, levels):
+    """An element of N: psi_t of an integer (vector) at a level t, so it
+    is negative or non-canonical as often as not, and sometimes int-typed:
+    a plain int, or a matrix vector with int coordinates, some or all."""
+    t = draw(st.sampled_from(levels))
+    size = 3 * fam.index(t) if fam.tag != "matrix" else 12
+    if fam.tag != "matrix":
+        v = draw(st.integers(-size, size))
+        return draw(st.sampled_from([v, fam.psi_s(t, v)]))
+    v = tuple(draw(st.integers(-size, size)) for _ in range(fam.dim))
+    mixed = tuple(c if i % 2 else Fraction(c) for i, c in enumerate(v))
+    return draw(st.sampled_from([v, mixed, fam.psi_s(t, v)]))
+
+
+@st.composite
+def oracle_cases(draw):
+    fam, ss, levels = draw(st.sampled_from(ORACLE_FAMILIES))
+    level = draw(st.sampled_from([None] + levels))
+    return fam, draw(st.sampled_from(ss)), level, draw(n_elements(fam, levels))
+
+
+def _types(xs):
+    return [tuple(map(type, x)) if type(x) is tuple else type(x) for x in xs]
+
+
+def _fraction_coded(fam, xs):
+    return all(type(x) is (tuple if fam.tag == "matrix" else Fraction) for x in xs) and all(
+        type(c) is Fraction for x in xs for c in (x if type(x) is tuple else (x,))
+    )
+
+
+@given(oracle_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_solve_coset_matches_fraction_route(case):
+    """solve_coset at any level equals psi_reps + n_add + canon, the route
+    it replaced, in values, coordinate types and transversal order."""
+    fam, s, level, n = case
+    a = fam.s_identity if level is None else level
+    base = fam.psi_s(s, fam.canon(n, level))
+    want = [fam.canon(fam.n_add(base, fam.psi_s_inv(a, pm)), level) for pm in fam.psi_reps(s)]
+    got = fam.solve_coset(s, n, level)
+    assert got == want
+    assert _types(got) == _types(want) and _fraction_coded(fam, got)
+    if level is None:
+        assert fam.solve_coset(s, n, fam.s_identity) == got
+
+
+@given(oracle_cases(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_translate_matches_fraction_route(case, data):
+    """translate equals canon(n_add(k, x), level) key by key, in order, and
+    codes every output coordinate as a Fraction.  (canon keeps an int for
+    an all-int input, as test_canonical_idempotent_* pin; translate's
+    outputs are keys, and keys are Fractions.)"""
+    fam, _, level, x = case
+    levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
+    keys = data.draw(st.lists(n_elements(fam, levels), max_size=6))
+    want = [fam.canon(fam.n_add(k, x), level) for k in keys]
+    got = fam.translate(x, keys, level)
+    assert got == want and _fraction_coded(fam, got)
+    assert [fam.canon(k, level) for k in got] == got
