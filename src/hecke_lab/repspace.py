@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .coeffs import to_complex
 from .errors import ConfigError
 from .pairs import PairFamily
 
@@ -184,7 +183,7 @@ def apply_algebra(rep: CovariantRep, a, v: SparseVector) -> SparseVector:
     """pi(a) v = sum of c_n Y_n v for a group-algebra element a = sum c_n delta_n."""
     pairs = []
     for n, c in a.values.items():
-        c = to_complex(c)
+        c = complex(c)
         if c:
             pairs.extend((k, x * c) for k, x in rep.apply_Y(n, v).values.items())
     return SparseVector.build(pairs)

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import autodil, grpalg, tower
 from .autodil import LocFun
-from .coeffs import QC, to_complex
+from .coeffs import QC, QC_ZERO
 from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
 from .pairs import PairFamily
@@ -269,7 +269,7 @@ def _solve_exact(probes, target: LocFun):
         rowset.remove(pivot)
         pivot_rows.append(pivot)
         pivot_cols.append(j)
-        inv = _qc_inv(rows[pivot][j])
+        inv = rows[pivot][j].inverse()
         rows[pivot] = [x * inv for x in rows[pivot]]
         b[pivot] = b[pivot] * inv
         for i in range(len(rows)):
@@ -277,18 +277,13 @@ def _solve_exact(probes, target: LocFun):
                 factor = rows[i][j]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[pivot])]
                 b[i] = b[i] - factor * b[pivot]
-    x = [QC.of(0)] * n_unknowns
+    x = [QC_ZERO] * n_unknowns
     for i, j in zip(pivot_rows, pivot_cols):
         x[j] = b[i]
     for i in rowset:
         if b[i]:
             return None  # inconsistent
     return x
-
-
-def _qc_inv(c: QC) -> QC:
-    norm = c.re * c.re + c.im * c.im
-    return QC(c.re / norm, -c.im / norm)
 
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:
@@ -332,7 +327,7 @@ class InducedRep:
                 carrier = self.rep.apply_V(fam.s_mul(level, tp), h)
                 for c, val in inner.values.items():
                     n = fam.canon(fam.psi_s(level, c))
-                    coeff = to_complex(val) * float(weight)
+                    coeff = complex(val) * float(weight)
                     moved = self.rep.apply_Y(n, carrier).values
                     if moved:
                         levels.setdefault(target_s, []).extend(
@@ -415,7 +410,7 @@ class ExtendedRep:
         return DilationVector.build(
             block
             for c, val in f.values.items()
-            for block in self.rho_cylinder(f.level, c, vec).scale(to_complex(val)).blocks.items()
+            for block in self.rho_cylinder(f.level, c, vec).scale(complex(val)).blocks.items()
         )
 
 
