@@ -39,17 +39,17 @@ class QC:
             raise TypeError(
                 f"cannot build exact coefficient from {type(re).__name__}, {type(im).__name__}"
             )
-        a, b, d = p * s, r * q, q * s
-        g = gcd(a, b, d)
-        self.a, self.b, self.d = a // g, b // g, d // g
+        z = _norm(p * s, r * q, q * s)
+        self.a, self.b, self.d = z.a, z.b, z.d
 
     @staticmethod
     def of(x) -> "QC":
         if type(x) is QC:
             return x
-        if isinstance(x, (int, Fraction)):
-            return _qc(x.numerator, 0, x.denominator)
-        raise TypeError(f"cannot build exact coefficient from {type(x).__name__}")
+        p, q = _ratio(x)
+        if p is None:
+            raise TypeError(f"cannot build exact coefficient from {type(x).__name__}")
+        return _qc(p, 0, q)
 
     @property
     def re(self) -> Fraction:
@@ -70,21 +70,17 @@ class QC:
         # A real QC equals the int or Fraction of its value, so it must
         # hash like it.
         if not self.b:
-            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+            return hash(Fraction(self.a, self.d))
         return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
         a, b, d = self.a, self.b, self.d
         if type(other) is QC:
             e = other.d
-            if d == e:
-                return _norm(a + other.a, b + other.b, d)
             return _norm(a * e + other.a * d, b * e + other.b * d, d * e)
         p, q = _ratio(other)
         if p is None:
             return NotImplemented
-        if q == 1:  # gcd(a + p*d, b, d) == gcd(a, b, d) == 1
-            return _qc(a + p * d, b, d)
         return _norm(a * q + p * d, b * q, d * q)
 
     __radd__ = __add__
@@ -93,11 +89,6 @@ class QC:
         return _qc(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if type(other) is QC:
-            a, b, d, e = self.a, self.b, self.d, other.d
-            if d == e:
-                return _norm(a - other.a, b - other.b, d)
-            return _norm(a * e - other.a * d, b * e - other.b * d, d * e)
         return self + (-QC.of(other))
 
     def __mul__(self, other):
@@ -147,15 +138,7 @@ def _qc(a: int, b: int, d: int) -> QC:
 def _norm(a: int, b: int, d: int) -> QC:
     """A QC from any fields with d > 0, divided by gcd(a, b, d)."""
     g = gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    z = _new(QC)  # _qc inlined: every product and most sums end here
-    z.a = a
-    z.b = b
-    z.d = d
-    return z
+    return _qc(a // g, b // g, d // g)
 
 
 def _ratio(x):
