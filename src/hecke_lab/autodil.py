@@ -18,7 +18,9 @@ Key operations:
   ``theta_star_inv`` its inverse, which transports a level-a cylinder to the
   single level-(a*s) cylinder over its preimage, scaled by index(s).
 
-Everything is exact with the rational backend.
+The group algebra of N/M is the identity level of this algebra:
+``grpalg.GroupAlgebraElement`` is a ``LocFun`` pinned there.  Values are
+exact ``QC`` coefficients throughout.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import QC, coerce, is_zero, scale
+from .coeffs import QC
 from .errors import PrecisionError
 from .pairs import PairFamily, frac_to_str, frac_from_json
-from . import grpalg
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,24 +46,32 @@ class LocFun:
     family: PairFamily
     level: object
     values: dict = field(default_factory=dict)
-    exact: bool = True
     # Refinement cache; idempotent fill keeps concurrent reads safe.
     _refined: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def build(family: PairFamily, level, pairs, exact: bool = True) -> "LocFun":
+    def build(family: PairFamily, level, pairs, exact=True) -> "LocFun":
+        """Normalize (coset, coefficient) pairs: canonical keys, no zeros.
+        ``exact`` outlives the removed float backend only because wrappers
+        of ``build`` (bench/tracing.py) pass it positionally: True only."""
+        if exact is not True:
+            raise ValueError("LocFun coefficients are exact QC values; exact must be True")
         family.validate_s(level)
         out = {}
         for n, c in pairs:
             key = family.canon(n, level)
-            c = coerce(c, exact)
+            c = QC.of(c)
             if key in out:
                 c = out[key] + c
-            if is_zero(c):
-                out.pop(key, None)
-            else:
+            if c:
                 out[key] = c
-        return LocFun(family, level, out, exact)
+            else:
+                out.pop(key, None)
+        return LocFun(family, level, out)
+
+    def _with(self, values) -> "LocFun":
+        """Same family, level and class; the values must hold the invariant."""
+        return LocFun(self.family, self.level, values)
 
     def refine(self, t) -> "LocFun":
         """The same function, stored on the finer level-t cosets."""
@@ -85,7 +94,7 @@ class LocFun:
         for c, v in self.values.items():
             for key in fam.translate(c, splitters, t):
                 values[key] = v
-        out = LocFun(fam, t, values, self.exact)
+        out = LocFun(fam, t, values)
         self._refined[t] = out
         return out
 
@@ -98,16 +107,14 @@ class LocFun:
         merged = dict(a.values)
         for k, c in b.values.items():
             c = merged.get(k, 0) + c
-            if is_zero(c):
-                merged.pop(k, None)
-            else:
+            if c:
                 merged[k] = c
-        return LocFun(self.family, t, merged, self.exact and other.exact)
+            else:
+                merged.pop(k, None)
+        return a._with(merged)
 
     def __neg__(self):
-        return LocFun(
-            self.family, self.level, {k: -c for k, c in self.values.items()}, self.exact
-        )
+        return self._with({k: -c for k, c in self.values.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,23 +123,15 @@ class LocFun:
         return convolve(self, other)
 
     def scale(self, q: Fraction) -> "LocFun":
-        return LocFun.build(
-            self.family,
-            self.level,
-            ((k, scale(c, q)) for k, c in self.values.items()),
-            self.exact,
-        )
+        pairs = ((k, c * q) for k, c in self.values.items())
+        return self._with(LocFun.build(self.family, self.level, pairs).values)
 
     def star(self) -> "LocFun":
         """Involution: conjugate values on inverted cosets (unimodular, so
         no modular correction)."""
         fam = self.family
-        return LocFun.build(
-            fam,
-            self.level,
-            ((fam.n_neg(k), c.conjugate()) for k, c in self.values.items()),
-            self.exact,
-        )
+        pairs = ((fam.n_neg(k), c.conjugate()) for k, c in self.values.items())
+        return self._with(LocFun.build(fam, self.level, pairs).values)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -152,49 +151,39 @@ class LocFun:
         total = 0
         w = Fraction(1, self.family.index(self.level))
         for c in self.values.values():
-            total = total + scale(c, w)
+            total = total + c * w
         return total
 
     def to_json(self):
         fam = self.family
-        recs = []
-        for k in sorted(self.values):
-            c = self.values[k]
-            qc = QC.of(c) if self.exact else None
-            recs.append(
-                {
-                    "coset": fam.n_to_json(k),
-                    "re": frac_to_str(qc.re) if qc else complex(c).real,
-                    "im": frac_to_str(qc.im) if qc else complex(c).imag,
-                }
-            )
+        recs = [
+            {"coset": fam.n_to_json(k), "re": frac_to_str(c.re), "im": frac_to_str(c.im)}
+            for k, c in sorted(self.values.items())
+        ]
         return {"level": fam.s_to_json(self.level), "values": recs}
 
     @staticmethod
-    def from_json(family: PairFamily, data, exact: bool = True) -> "LocFun":
+    def from_json(family: PairFamily, data) -> "LocFun":
         level = family.s_from_json(data["level"])
         pairs = []
         for rec in data["values"]:
-            if exact:
-                c = QC(frac_from_json(rec["re"]), frac_from_json(rec["im"]))
-            else:
-                c = complex(rec["re"], rec["im"])
+            c = QC(frac_from_json(rec["re"]), frac_from_json(rec["im"]))
             pairs.append((family.n_from_json(rec["coset"]), c))
-        return LocFun.build(family, level, pairs, exact)
+        return LocFun.build(family, level, pairs)
 
 
-def zero(family: PairFamily, exact: bool = True) -> LocFun:
-    return LocFun(family, family.s_identity, {}, exact)
+def zero(family: PairFamily) -> LocFun:
+    return LocFun(family, family.s_identity, {})
 
 
-def chi_K(family: PairFamily, exact: bool = True) -> LocFun:
+def chi_K(family: PairFamily) -> LocFun:
     """The indicator of the compact subgroup: the distinguished projection."""
-    return LocFun.build(family, family.s_identity, [(family.n_identity, 1)], exact)
+    return LocFun.build(family, family.s_identity, [(family.n_identity, 1)])
 
 
-def cylinder(family: PairFamily, level, n, coeff=1, exact: bool = True) -> LocFun:
+def cylinder(family: PairFamily, level, n, coeff=1) -> LocFun:
     """The indicator of a single level-s cylinder set."""
-    return LocFun.build(family, level, [(n, coeff)], exact)
+    return LocFun.build(family, level, [(n, coeff)])
 
 
 def convolve(f: LocFun, g: LocFun) -> LocFun:
@@ -217,19 +206,17 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     w = Fraction(1, fam.index(t))
     pairs = []
     for ca, va in f.values.items():
-        va = scale(va, w)
+        va = va * w
         for key, vb in zip(fam.translate(ca, g.values, m), g.values.values()):
             pairs.append((key, va * vb))
-    return LocFun.build(fam, m, pairs, f.exact and g.exact).refine(t)
+    return LocFun.build(fam, m, pairs).refine(t)
 
 
-def embed_i(a: grpalg.GroupAlgebraElement) -> LocFun:
+def embed_i(a: LocFun) -> LocFun:
     """Send each group-algebra generator to the indicator of its cylinder
-    at the identity level."""
-    fam = a.family
-    # Keys canonical modulo M are canonical at the identity level, since
-    # canon(n) == canon(n, s_identity); build would only copy them.
-    return LocFun(fam, fam.s_identity, dict(a.values), a.exact)
+    at the identity level: a group-algebra element already is that
+    function, so this re-tags it as a plain ``LocFun``."""
+    return LocFun(a.family, a.level, dict(a.values))
 
 
 def theta_star(s, f: LocFun) -> LocFun:
@@ -242,6 +229,7 @@ def theta_star(s, f: LocFun) -> LocFun:
     level-a cosets c are disjoint, since each target cylinder has one
     preimage, and the index(s) targets of one c are distinct and
     canonical, so no merging or zero test is needed: skip ``build``.
+    The result has f's class, so at the identity level it is ``grpalg.alpha``.
     """
     fam = f.family
     fam.validate_s(s)
@@ -251,12 +239,10 @@ def theta_star(s, f: LocFun) -> LocFun:
     w = Fraction(1, fam.index(s))
     out = {}
     for c, v in f.values.items():
-        spread = scale(v, w)
-        if is_zero(spread):  # a float coefficient can underflow to zero
-            continue
+        spread = v * w
         for m in fam.solve_coset(s, c, a):
             out[m] = spread
-    return LocFun(fam, a, out, f.exact)
+    return f._with(out)
 
 
 def theta_star_inv(s, f: LocFun) -> LocFun:
@@ -275,8 +261,8 @@ def theta_star_inv(s, f: LocFun) -> LocFun:
     idx = Fraction(fam.index(s))
     pairs = []
     for c, v in f.values.items():
-        pairs.append((fam.psi_s_inv(s, c), scale(v, idx)))
-    return LocFun.build(fam, deeper, pairs, f.exact)
+        pairs.append((fam.psi_s_inv(s, c), v * idx))
+    return LocFun.build(fam, deeper, pairs)
 
 
 def theta_star_g(g, f: LocFun) -> LocFun:

@@ -3,9 +3,11 @@ a machine-readable report.
 
 Each check certifies one identity of the finite-level model and is labelled
 by a self-contained statement of that identity.  Deviations are reported
-either as exact zeros (rational backend) or as float maxima; the report
-distinguishes the two, because the exact/float split is the point of the
-artifact.  Reports are JSON lines plus a trailing summary record.
+either as exact zeros (identities between exact rational data, compared
+by equality) or as float maxima (Hilbert-space identities, where
+isometries bring in square roots of indices); the report distinguishes
+the two, because the exact/float split is the point of the artifact.
+Reports are JSON lines plus a trailing summary record.
 """
 
 from __future__ import annotations
@@ -381,7 +383,10 @@ def check_embed_homomorphism(ctx: Ctx):
     for n in ctx.cosets(5):
         for m in ctx.cosets(5):
             a, b = grpalg.delta(fam, n), grpalg.delta(fam, m)
-            if autodil.convolve(autodil.embed_i(a), autodil.embed_i(b)) != autodil.embed_i(a * b):
+            # The group law, not the group-algebra product: that product is
+            # the same convolution as the left side.
+            rhs = autodil.embed_i(grpalg.delta(fam, fam.n_add(n, m)))
+            if autodil.convolve(autodil.embed_i(a), autodil.embed_i(b)) != rhs:
                 return _exact(False, "embedding is not multiplicative")
     return _exact(True)
 
@@ -400,10 +405,15 @@ def check_embed_unital(ctx: Ctx):
 def check_intertwine_alpha_theta(ctx: Ctx):
     fam = ctx.family
     for s in ctx.small_s():
+        w = Fraction(1, fam.index(s))
         for n in ctx.cosets(4):
             d = grpalg.delta(fam, n)
             lhs = autodil.embed_i(grpalg.alpha(s, d))
-            rhs = autodil.theta_star(s, autodil.embed_i(d))
+            # alpha is theta_star, so the right side is the Fraction route:
+            # index(s)^-1 on the cylinders over psi_s(n) + psi_s(m) for m in
+            # the level-s transversal.
+            spread = [(fam.n_add(fam.psi_s(s, n), pm), w) for pm in fam.psi_reps(s)]
+            rhs = autodil.LocFun.build(fam, fam.s_identity, spread)
             if lhs != rhs:
                 return _exact(False, f"intertwining failed at s={s!r}")
     return _exact(True)
@@ -941,7 +951,7 @@ def check_extension_covariance(ctx: Ctx):
     dil = ext.dilation
     worst = 0.0
     for _ in range(max(4, ctx.depth * 2)):
-        f = _random_locfun(ctx, exact=True)
+        f = _random_locfun(ctx)
         s = ctx.rng.choice(ctx.small_s()[:3])
         g = fam.g_from_s(s)
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
@@ -1129,13 +1139,13 @@ def _random_algebra_element(ctx: Ctx, terms=3):
     return grpalg.GroupAlgebraElement.build(ctx.family, pairs)
 
 
-def _random_locfun(ctx: Ctx, exact=True):
+def _random_locfun(ctx: Ctx):
     fam = ctx.family
     level = ctx.rng.choice(ctx.small_s()[: max(2, ctx.depth)])
     pairs = []
     for n in ctx.cosets(3):
         pairs.append((n, Fraction(ctx.rng.randint(-4, 4), ctx.rng.randint(1, 4))))
-    return autodil.LocFun.build(fam, level, pairs, exact)
+    return autodil.LocFun.build(fam, level, pairs)
 
 
 CHECKS = [

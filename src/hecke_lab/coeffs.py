@@ -1,14 +1,13 @@
-"""Coefficient backends: exact rational complex numbers and float helpers.
+"""Exact rational complex coefficients.
 
 Algebraic identities that are rational on paper stay rational here: group
-algebra elements and locally constant functions default to `QC`
-coefficients, so equality tests are exact.  A `QC` is coded as three
-plain ints (a, b, d) standing for (a + b*i)/d, with d > 0 and
-gcd(a, b, d) == 1.  That form is unique, so equality and hashing compare
-ints, and every operation is a few integer products normalised by one
-``math.gcd``.  The Hilbert-space side (representations, dilation vectors)
-uses ordinary `complex`, because isometries introduce square roots of
-indices.
+algebra elements and locally constant functions carry `QC` coefficients,
+so equality tests are exact.  A `QC` is coded as three plain ints
+(a, b, d) standing for (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1.
+That form is unique, so equality and hashing compare ints, and every
+operation is a few integer products normalised by one ``math.gcd``.  The
+Hilbert-space side (representations, dilation vectors) uses ordinary
+`complex`, because isometries introduce square roots of indices.
 """
 
 from __future__ import annotations
@@ -151,23 +150,3 @@ def _ratio(x):
 QC_ZERO = _qc(0, 0, 1)
 QC_ONE = _qc(1, 0, 1)
 
-
-def coerce(c, exact: bool):
-    """Normalize a scalar into the chosen backend."""
-    if exact:
-        return QC.of(c)
-    return complex(c)
-
-
-def scale(c, q: Fraction):
-    """Multiply a coefficient by an exact rational, staying in its backend."""
-    if isinstance(c, QC):
-        return c * q
-    return c * float(q)
-
-
-def is_zero(c) -> bool:
-    """Exact-zero test; float backends drop only literal zeros."""
-    if isinstance(c, QC):
-        return not c
-    return c == 0

@@ -354,7 +354,35 @@ def _int_from_json(data, what: str) -> int:
 
 class _RationalFamily(PairFamily):
     """The families with N inside Q and M = Z, whose level-s subgroup is
-    index(s)*Z: the integer coding of ``solve_coset`` and ``translate``."""
+    index(s)*Z: their shared group law and serialization, and the integer
+    coding of ``solve_coset`` and ``translate``.  ``canon`` stays per family,
+    because it is hot and ``index`` validates its argument.  Subclasses
+    alias ``n_add`` and ``iter_coset_reps`` into their own namespace, where
+    per-family instrumentation (bench/tracing.py) wraps them."""
+
+    n_identity = property(lambda self: Fraction(0))
+
+    def n_add(self, a, b):
+        return a + b
+
+    def n_neg(self, a):
+        return -a
+
+    def in_M(self, n) -> bool:
+        return n.denominator == 1
+
+    def iter_coset_reps(self, s):
+        for k in range(self.index(s)):
+            yield Fraction(k)
+
+    def n_to_json(self, n):
+        return frac_to_str(n)
+
+    def n_from_json(self, data):
+        return frac_from_json(data)
+
+    def s_to_json(self, s):
+        return s
 
     def _modulus(self, level):
         return 1 if level is None else self.index(level)
@@ -391,7 +419,8 @@ class BostConnesFamily(_RationalFamily):
 
     s_identity = property(lambda self: 1)
     g_identity = property(lambda self: Fraction(1))
-    n_identity = property(lambda self: Fraction(0))
+    n_add = _RationalFamily.n_add
+    iter_coset_reps = _RationalFamily.iter_coset_reps
 
     def validate_s(self, s):
         if not _is_int(s) or s < 1:
@@ -420,17 +449,8 @@ class BostConnesFamily(_RationalFamily):
     def g_reduce(self, g):
         return g.denominator, g.numerator
 
-    def n_add(self, a, b):
-        return a + b
-
-    def n_neg(self, a):
-        return -a
-
     def psi(self, g, n):
         return n / g
-
-    def in_M(self, n) -> bool:
-        return n.denominator == 1
 
     def canon(self, n, s=None):
         return _reduce_mod(n, 1 if s is None else s)
@@ -438,10 +458,6 @@ class BostConnesFamily(_RationalFamily):
     def index(self, s) -> int:
         self.validate_s(s)
         return s
-
-    def iter_coset_reps(self, s):
-        for k in range(s):
-            yield Fraction(k)
 
     def require_level(self, s):
         if s > self.level_cap:
@@ -467,23 +483,12 @@ class BostConnesFamily(_RationalFamily):
     def to_config(self):
         return {"family": self.tag}
 
-    def n_to_json(self, n):
-        return frac_to_str(n)
-
-    def n_from_json(self, data):
-        return frac_from_json(data)
-
-    def s_to_json(self, s):
-        return s
-
     def s_from_json(self, data):
         return _int_from_json(data, "a bost-connes level")
 
-    def g_to_json(self, g):
-        return frac_to_str(g)
-
-    def g_from_json(self, data):
-        return frac_from_json(data)
+    # G = Q^* and N = Q: both are written as rationals.
+    g_to_json = _RationalFamily.n_to_json
+    g_from_json = _RationalFamily.n_from_json
 
 
 class PadicFamily(_RationalFamily):
@@ -502,7 +507,8 @@ class PadicFamily(_RationalFamily):
 
     s_identity = property(lambda self: 0)
     g_identity = property(lambda self: 0)
-    n_identity = property(lambda self: Fraction(0))
+    n_add = _RationalFamily.n_add
+    iter_coset_reps = _RationalFamily.iter_coset_reps
 
     def validate_s(self, s):
         if not _is_int(s) or s < 0:
@@ -531,17 +537,8 @@ class PadicFamily(_RationalFamily):
     def g_reduce(self, g):
         return (-g, 0) if g < 0 else (0, g)
 
-    def n_add(self, a, b):
-        return a + b
-
-    def n_neg(self, a):
-        return -a
-
     def psi(self, g, n):
         return n / Fraction(self.p) ** g
-
-    def in_M(self, n) -> bool:
-        return n.denominator == 1
 
     def canon(self, n, s=None):
         return _reduce_mod(n, 1 if s is None else self.p**s)
@@ -549,10 +546,6 @@ class PadicFamily(_RationalFamily):
     def index(self, s) -> int:
         self.validate_s(s)
         return self.p**s
-
-    def iter_coset_reps(self, s):
-        for k in range(self.p**s):
-            yield Fraction(k)
 
     def require_level(self, s):
         if self.p**s > self.index_cap:
@@ -585,19 +578,10 @@ class PadicFamily(_RationalFamily):
     def to_config(self):
         return {"family": self.tag, "p": self.p}
 
-    def n_to_json(self, n):
-        return frac_to_str(n)
-
-    def n_from_json(self, data):
-        return frac_from_json(data)
-
-    def s_to_json(self, s):
-        return s
-
     def s_from_json(self, data):
         return _int_from_json(data, "a padic exponent")
 
-    g_to_json = s_to_json
+    g_to_json = _RationalFamily.s_to_json
     g_from_json = s_from_json
 
 

@@ -130,11 +130,11 @@ class CrossedElement:
         ]
 
     @staticmethod
-    def from_json(family: PairFamily, data, exact: bool = True) -> "CrossedElement":
+    def from_json(family: PairFamily, data) -> "CrossedElement":
         return CrossedElement.build(
             family,
             [
-                (LocFun.from_json(family, rec["f"], exact), family.g_from_json(rec["g"]))
+                (LocFun.from_json(family, rec["f"]), family.g_from_json(rec["g"]))
                 for rec in data
             ],
         )
@@ -228,7 +228,7 @@ def _translate(f: LocFun, x) -> LocFun:
     """
     fam = f.family
     values = dict(zip(fam.translate(x, f.values, f.level), f.values.values()))
-    return LocFun(fam, f.level, values, f.exact)
+    return f._with(values)
 
 
 def _candidate_generators(fam: PairFamily, s, t, f: LocFun):
@@ -338,9 +338,6 @@ class InducedRep:
     def rho_p(self, vec: DilationVector) -> DilationVector:
         """rho of the distinguished projection: blockwise averaging."""
         return self.dilation.project_fixed(vec)
-
-    def unitary(self, g, vec: DilationVector) -> DilationVector:
-        return self.dilation.apply_U(g, vec)
 
 
 def x_ind(rep: CovariantRep) -> InducedRep:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 pass/fail line and enforcing its stated tolerance and time budget.
 
-Exact criteria use the rational backend and assert literal equality;
+Exact criteria use exact rational coefficients and assert literal equality;
 Hilbert-space criteria use the 1e-9 tolerance fixed across the package.
 """
 

@@ -124,7 +124,7 @@ def join_route_convolve(f, g):
         for ca, va in a.values.items()
         for cb, vb in b.values.items()
     ]
-    return LocFun.build(fam, t, pairs, f.exact and g.exact)
+    return LocFun.build(fam, t, pairs)
 
 
 def test_convolve_matches_pointwise_oracle(bc):
@@ -339,34 +339,34 @@ def _shortcut_cases():
     ]
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_alpha_and_embed_match_build_route(exact):
+def test_alpha_and_embed_match_build_route():
     """alpha, embed_i and theta_star construct their results without
     ``build``; the dictionaries must equal the ones ``build`` makes from the
-    same pairs, with every key canonical at its level and every value
+    Fraction route's pairs (translates by ``psi_reps``, not
+    ``solve_coset``), with every key canonical at its level and every value
     non-zero.  theta_star is checked at the identity level and at the
     second listed level."""
     rng = random.Random(41)
     for fam, levels, sample in _shortcut_cases():
         for terms in (2, 3, 5):
-            a = grpalg.GroupAlgebraElement.build(fam, [], exact)
+            a = grpalg.GroupAlgebraElement.build(fam, [])
             while len(a.values) < terms:
                 c = QC(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 3), 2))
-                a = a + grpalg.delta(fam, sample(rng), c, exact)
+                a = a + grpalg.delta(fam, sample(rng), c)
             for s in levels:
                 w = Fraction(1, fam.index(s))
                 old = grpalg.GroupAlgebraElement.build(
                     fam,
-                    [(m, c * w) for n, c in a.values.items() for m in fam.solve_coset(s, n)],
-                    exact,
+                    [(fam.n_add(fam.psi_s(s, n), pm), c * w)
+                     for n, c in a.values.items() for pm in fam.psi_reps(s)],
                 )
                 got = grpalg.alpha(s, a)
-                assert got.values == old.values and got.exact == exact
+                assert type(got) is grpalg.GroupAlgebraElement and got.values == old.values
                 for b in (a, got):
                     e = embed_i(b)
-                    ref = LocFun.build(fam, fam.s_identity, b.values.items(), exact)
+                    ref = LocFun.build(fam, fam.s_identity, b.values.items())
+                    assert type(e) is LocFun
                     assert e.level == ref.level and e.values == ref.values
-                    assert e.exact == exact
                 for k, c in got.values.items():
                     assert fam.canon(k) == k and fam.canon(k, fam.s_identity) == k
                     assert c != 0
@@ -381,9 +381,26 @@ def test_alpha_and_embed_match_build_route(exact):
                         b,
                         [(fam.n_add(fam.psi_s(s, c), pm), v * w)
                          for c, v in f.values.items() for pm in shifts],
-                        exact,
                     )
                     got = theta_star(s, f)
                     assert got.level == b and got.values == old.values
-                    assert got.exact == exact
                     assert all(fam.canon(k, b) == k for k in got.values)
+
+
+def test_build_accepts_only_the_exact_backend(bc):
+    """The float backend is gone: ``build``'s fourth argument takes True only."""
+    assert LocFun.build(bc, 2, [(Fraction(1, 2), 1)], True) == cylinder(bc, 2, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        LocFun.build(bc, 2, [(Fraction(1, 2), 1)], False)
+
+
+@pytest.mark.parametrize("fam", [
+    BostConnesFamily(),
+    PadicFamily(3),
+    MatrixFamily([[2, 1], [1, 3]], [[3, 1], [1, 4]]),
+], ids=lambda fam: fam.tag)
+def test_group_algebra_unit_is_chi_K(fam):
+    """The unit delta_0 of the group algebra is the identity-level function
+    chi_K, and the embedding only re-tags it."""
+    assert grpalg.one(fam) == chi_K(fam)
+    assert embed_i(grpalg.one(fam)).values == chi_K(fam).values

@@ -2,7 +2,7 @@
 equivalence between subgroup-generated and completion representations.
 
 The algebraic identities (projection, isometry relations, corner
-decomposition) are exact in the rational backend; everything on the
+decomposition) are exact, over rational coefficients; everything on the
 dilation space is float with tolerance 1e-9.
 """
 
