@@ -15,15 +15,17 @@ corner copy of the semigroup crossed product.
 The corner p (A x| G) p is identified with the semigroup crossed product
 by writing each of its elements as a sum of v_s^* i(a) v_t triples
 (``corner_decompose``), one per group component g = s^-1 t.  Two facts
-make this cheap:
+make this a direct read-off:
 
 * translation identity: the g-term of v_s^* i(delta_n) v_t is the g-term
   of v_s^* v_t translated by psi_s^-1(n), because beta, convolution and
-  the embedding i all commute with translations of N;
-* certificate: v_s^* i(a) v_t is linear in a, so an exact solution of
-  "component = sum_n a_n * probe_n" for every component exhibits the
-  element as a sum of corner triples.  No separate p d p == d test is
-  needed; ``in_corner`` keeps that definition as a predicate.
+  the embedding i all commute with translations of N.  That g-term is
+  beta * 1_H, one scalar on a subgroup H of N invariant under
+  psi_s^-1(M), so two probes are equal or have disjoint supports;
+* certificate: v_s^* i(a) v_t is linear in a, so a component that the
+  read-off coefficients rebuild exactly, as sum_n a_n * probe_n, is a sum
+  of corner triples.  No separate p d p == d test is needed;
+  ``in_corner`` keeps that definition as a predicate.
 
 The induction engine rewrites (f u_g) applied to a dilation block (s, h)
 through the cylinder identity
@@ -42,7 +44,6 @@ from fractions import Fraction
 
 from . import autodil, grpalg, tower
 from .autodil import LocFun
-from .coeffs import QC, QC_ZERO
 from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
 from .pairs import PairFamily
@@ -185,38 +186,43 @@ def in_corner(d: CrossedElement) -> bool:
 def corner_decompose(d: CrossedElement):
     """Write a corner element exactly as a sum of v_s^* i(a) v_t triples.
 
-    Works per group component g = s^-1 t (s, t from ``g_reduce``).  Every
-    probe v_s^* i(delta_n) v_t has its single term at g, and that term is
-    the g-term of v_s^* v_t translated by psi_s^-1(n) (see ``_translate``),
-    so only v_s^* v_t is multiplied out, once per component; it is refined
-    to the component's level first, since translation commutes with
-    refinement.  Exact rational elimination then writes the component as
-    a combination of the candidate probes.
+    Works per group component f at g = s^-1 t (s, t from ``g_reduce``).
+    Only the identity probe v_s^* v_t is multiplied out, once per
+    component; its g-term ``base`` is beta * 1_H, and the probe of delta_n
+    is ``base`` translated by psi_s^-1(n) (see ``_translate``).  Probes are
+    therefore equal or disjoint, and the coefficients are read off: for
+    the first cell c of f not yet covered, n = canon(psi_s(c)) has c in
+    its probe, a_n = f(c) / beta, and f must equal a_n times the probe on
+    every cell of it, which is then removed from f.
 
-    A consistent solve is the membership certificate: compose_corner is
-    linear in a, so the solved coefficients a_g give
-    d = sum_g v_s^* i(a_g) v_t, which lies in the corner.  When some
-    component has no solution, NotInCornerError is raised; ``in_corner``
-    stays the definition-level predicate p d p == d.
+    The exact rebuild is the membership certificate: compose_corner is
+    linear in a, so when the probes cover f exactly the read-off a gives
+    d = sum_g v_s^* i(a_g) v_t, which lies in the corner.  A cell where f
+    and the probe disagree raises NotInCornerError; ``in_corner`` stays
+    the definition-level predicate p d p == d.
     """
     fam = d.family
     triples = []
     for g, f in d.terms.items():
         s, t = fam.g_reduce(g)
-        candidates = _candidate_generators(fam, s, t, f)
         base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
-        base = base.refine(fam.s_join(base.level, f.level))
-        probes = [_translate(base, fam.psi_s_inv(s, n)) for n in candidates]
-        coeffs = _solve_exact(probes, f)
-        if coeffs is None:
-            raise NotInCornerError(
-                "no exact corner decomposition: the element is not in the corner, "
-                "or the candidate generators do not span it"
-            )
-        a = grpalg.GroupAlgebraElement.build(
-            fam, [(n, c) for n, c in zip(candidates, coeffs)]
-        )
-        triples.append((s, a, t))
+        level = fam.s_join(base.level, f.level)
+        base = base.refine(level)
+        beta = next(iter(base.values.values()))
+        rest = dict(f.refine(level).values)
+        coeffs = []
+        while rest:
+            c = next(iter(rest))
+            n = fam.canon(fam.psi_s(s, c))
+            a_n = rest[c] * beta.inverse()
+            for key, b in _translate(base, fam.psi_s_inv(s, n)).values.items():
+                if rest.pop(key, None) != a_n * b:
+                    raise NotInCornerError(
+                        f"not in the corner: component {g!r} differs from "
+                        f"its read-off at coset {key!r}"
+                    )
+            coeffs.append((n, a_n))
+        triples.append((s, grpalg.GroupAlgebraElement.build(fam, coeffs), t))
     return triples
 
 
@@ -229,61 +235,6 @@ def _translate(f: LocFun, x) -> LocFun:
     fam = f.family
     values = dict(zip(fam.translate(x, f.values, f.level), f.values.values()))
     return f._with(values)
-
-
-def _candidate_generators(fam: PairFamily, s, t, f: LocFun):
-    """Cosets that can appear in a generator sum whose corner image touches
-    the support of f."""
-    out = []
-    seen = set()
-    shifts = [fam.n_neg(fam.n_add(fam.psi_s(s, m), fam.psi_s(t, r)))
-              for m in fam.coset_reps(s) for r in fam.coset_reps(t)]
-    for c in f.values:
-        for n in fam.translate(fam.psi_s(s, c), shifts):
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-    return out
-
-
-def _solve_exact(probes, target: LocFun):
-    """Solve sum_j x_j probe_j = target over exact complex rationals."""
-    fam = target.family
-    level = target.level
-    for pr in probes:
-        level = fam.s_join(level, pr.level)
-    cols = [pr.refine(level).values for pr in probes]
-    rhs = dict(target.refine(level).values)
-    support = sorted(set().union(rhs, *cols), key=str)
-    rows = [[QC.of(col.get(c, 0)) for col in cols] for c in support]
-    b = [QC.of(rhs.get(c, 0)) for c in support]
-    n_unknowns = len(probes)
-    # Gaussian elimination over Q(i).
-    pivot_rows = []
-    pivot_cols = []
-    rowset = list(range(len(rows)))
-    for j in range(n_unknowns):
-        pivot = next((i for i in rowset if rows[i][j]), None)
-        if pivot is None:
-            continue
-        rowset.remove(pivot)
-        pivot_rows.append(pivot)
-        pivot_cols.append(j)
-        inv = rows[pivot][j].inverse()
-        rows[pivot] = [x * inv for x in rows[pivot]]
-        b[pivot] = b[pivot] * inv
-        for i in range(len(rows)):
-            if i != pivot and rows[i][j]:
-                factor = rows[i][j]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[pivot])]
-                b[i] = b[i] - factor * b[pivot]
-    x = [QC_ZERO] * n_unknowns
-    for i, j in zip(pivot_rows, pivot_cols):
-        x[j] = b[i]
-    for i in rowset:
-        if b[i]:
-            return None  # inconsistent
-    return x
 
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:

@@ -468,9 +468,8 @@ def test_padic_corner_identities():
 
 # Corner cases per family: (s, t) pairs within level (1, 1) for the matrix
 # families, generator cosets, and a non-corner term (level, coset, g).  For
-# the non-diagonal pair, (s, t) = ((1, 0), (0, 1)) and ((1, 1), (1, 1)) are
-# left out: with index 5 * 49 the exact solve, respectively the products,
-# take seconds there.
+# the non-diagonal pair, (s, t) = ((1, 0), (0, 1)) has a probe of 245
+# cylinders; ((1, 1), (1, 1)) is left out because its products take seconds.
 F = Fraction
 CORNER_CASES = {
     "bost-connes": (
@@ -493,7 +492,8 @@ CORNER_CASES = {
     ),
     "matrix-skew": (
         lambda: MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
-        [((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 0))],
+        [((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0)), ((0, 1), (0, 0)),
+         ((1, 0), (0, 1))],
         [(F(1, 5), F(2, 5)), (F(1, 7), F(0)), (F(3, 5), F(1, 7))],
         ((1, 0), (F(1, 5), F(0)), (1, 0)),
     ),
@@ -542,20 +542,44 @@ def test_translated_probe_matches_compose_corner(corner_case):
             assert xprod._translate(base, fam.psi_s_inv(s, n)) == probe.terms[g]
 
 
+def test_identity_probe_is_a_scalar_on_a_subgroup(corner_case):
+    # The premise of corner_decompose's read-off: the g-term of v_s^* v_t is
+    # one scalar on a subgroup H of N that is invariant under psi_s^-1(M),
+    # so its translates, the probes, are equal or disjoint.
+    fam, st, _, _ = corner_case
+    rng = random.Random(79)
+    for s, t in st:
+        g = fam.g_mul(fam.g_inv(fam.g_from_s(s)), fam.g_from_s(t))
+        base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
+        keys = set(base.values)
+        assert len(set(base.values.values())) == 1
+        assert fam.canon(fam.n_identity, base.level) in keys
+        shifts = [fam.psi_s_inv(s, fam.random_M(rng)) for _ in range(4)]
+        shifts += [fam.n_neg(k) for k in rng.sample(sorted(keys), min(3, len(keys)))]
+        for x in shifts:
+            assert set(fam.translate(x, base.values, base.level)) == keys
+
+
 def test_in_corner_iff_decomposes(corner_case):
     fam, st, ns, (level, c, g) = corner_case
     p = projection_p(fam)
     s, t = st[0]
     bare = CrossedElement.build(fam, [(cylinder(fam, level, c), g)])
     module = xprod.module_element(fam, s, delta(fam, ns[0]), t)
+    probe = compose_corner(fam, s, delta(fam, ns[1]), t)
+    # One finer cylinder inside the probe's own component: it breaks the
+    # probe's constancy, so the read-off must reject it.
+    (g_st, f_st), = probe.terms.items()
+    finer = fam.s_mul(f_st.level, level)
+    bump = cylinder(fam, finer, next(iter(f_st.refine(finer).values)))
     corner = [
         p,
         isom_v(fam, s),
-        compose_corner(fam, s, delta(fam, ns[1]), t),
+        probe,
         bare * p,
         p * module,
     ]
-    outside = [bare, p * bare]
+    outside = [bare, p * bare, probe + CrossedElement.build(fam, [(bump, g_st)])]
     # u_s^* i(a) u_t p is cut on the right only; whether it lies in the
     # corner depends on the family and on (s, t).
     for d in corner + outside + [module]:
