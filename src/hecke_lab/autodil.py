@@ -139,6 +139,8 @@ class LocFun:
     def __eq__(self, other):
         if not isinstance(other, LocFun):
             return NotImplemented
+        if self.family is not other.family and self.family != other.family:
+            return False
         t = self.common_level(other)
         return self.refine(t).values == other.refine(t).values
 

@@ -27,6 +27,8 @@ from .errors import ConfigError
 from .pairs import PairFamily
 from .repspace import CovariantRep, SparseVector
 
+_EMPTY = SparseVector({})
+
 
 @dataclass(frozen=True, eq=False)
 class DilationVector:
@@ -59,7 +61,12 @@ class DilationVector:
         return DilationVector.build(chain(self.blocks.items(), other.blocks.items()))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        """Level by level with the one-pass ``SparseVector`` difference, in
+        ``build``'s level order; levels whose difference is empty are dropped."""
+        out = dict(self.blocks)
+        for s, h in other.blocks.items():
+            out[s] = out.get(s, _EMPTY) - h
+        return DilationVector({s: h for s, h in out.items() if h.values})
 
     def scale(self, c) -> "DilationVector":
         return DilationVector.build((s, h.scale(c)) for s, h in self.blocks.items())

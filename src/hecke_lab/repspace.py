@@ -12,6 +12,16 @@ representation acts by
 so each Y is unitary, each V_s is a genuine non-unitary isometry, and the
 covariance relation  V_s Y_n V_s* = index(s)^-1 * sum Y_m  holds on the
 nose.  Inner products are linear in the first slot.
+
+Every covariant pair also satisfies the un-averaged relation
+
+    Y_(psi_s(n)) V_s = V_s Y_n.
+
+Multiply the averaged relation on the right by V_s: V_s Y_n is the
+average of the Y_m V_s over the index(s) solutions m = psi_s(n + k),
+k in M, of psi_s^-1(m) = n modulo M.  At n = 0 an average of isometries
+equals the isometry V_s, which forces each Y_(psi_s(k)) V_s to equal V_s;
+so every term of the average is Y_(psi_s(n)) V_s.
 """
 
 from __future__ import annotations
@@ -27,17 +37,27 @@ from .pairs import PairFamily
 
 def _accumulate(out: dict, pairs) -> dict:
     """Add each (key, value) into ``out`` in order, dropping keys whose sum
-    is zero; a dropped key that comes back starts again from its value."""
-    get = out.get
+    is zero; a dropped key that comes back starts again from its value, at
+    the end of the key order.
+
+    One ``setdefault`` per pair looks the key up and inserts a new one, so
+    a new key is hashed once.  Whether the key was new is read off the
+    dict's size, not off ``prev is c``: the same complex object can be
+    added twice under one key (``v + v``).
+    """
+    setdefault = out.setdefault
     for k, c in pairs:
         c = complex(c)
-        prev = get(k)
-        if prev is not None:
+        size = len(out)
+        prev = setdefault(k, c)
+        if len(out) == size:
             c = prev + c
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        elif not c:
+            del out[k]
     return out
 
 
@@ -69,7 +89,9 @@ class SparseVector:
         return SparseVector(_accumulate(dict(self.values), other.values.items()))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return SparseVector(
+            _accumulate(dict(self.values), ((k, -v) for k, v in other.values.items()))
+        )
 
     def scale(self, c) -> "SparseVector":
         c = complex(c)
@@ -88,7 +110,13 @@ class SparseVector:
         return total
 
     def norm(self) -> float:
-        return math.sqrt(max(self.inner(self).real, 0.0))
+        """sqrt(<v, v>) without dict lookups.  The loop adds the same terms
+        in the same order as ``inner(self).real`` and so is bit for bit
+        equal to it (``sum`` of floats may round differently)."""
+        total = 0.0
+        for v in self.values.values():
+            total += v.real * v.real + v.imag * v.imag
+        return math.sqrt(total)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for v in self.values.values())

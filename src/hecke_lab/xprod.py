@@ -27,20 +27,27 @@ make this a direct read-off:
   of corner triples.  No separate p d p == d test is needed;
   ``in_corner`` keeps that definition as a predicate.
 
-The induction engine rewrites (f u_g) applied to a dilation block (s, h)
-through the cylinder identity
+The induction engine rewrites (f u_g) applied to a dilation block (s, h),
+with g s^-1 = s'^-1 t', through the cylinder identity
 
     chi(level-l cylinder over c) = index(l)^-1 u_l^* delta-generator(psi_l(c)) u_l,
 
-which turns every application into a combination of blocks
-(l*s', Y[psi_l(c)] V_(l*t') h); restriction-compression goes the other way
-by cutting with the projection.
+which turns it into a combination of blocks (l*s', Y[psi_l(c)] V_(l*t') h)
+over the cells c of the level-l function f' = beta_s'(f) * beta_t'(p).
+The covariance relation
+Y[psi_u(m)] V_u = V_u Y_m (see ``repspace``) with u = l*t' and
+m = psi_t'^-1(c) moves the lift out of the sum, so each term and block
+give the one block
+
+    (l*s', V_(l*t') sum_c index(l)^-1 f'(c) Y[psi_t'^-1(c)] h),
+
+and h is translated once per cell and lifted once.  Restriction-compression
+goes the other way by cutting with the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import autodil, grpalg, tower
 from .autodil import LocFun
@@ -111,6 +118,8 @@ class CrossedElement:
     def __eq__(self, other):
         if not isinstance(other, CrossedElement):
             return NotImplemented
+        if self.family is not other.family and self.family != other.family:
+            return False
         keys = set(self.terms) | set(other.terms)
         for g in keys:
             a = self.terms.get(g)
@@ -260,9 +269,13 @@ class InducedRep:
         return self.dilation.embed(h)
 
     def act(self, d: CrossedElement, vec: DilationVector) -> DilationVector:
-        """Apply sum f u_g through the cylinder rewriting."""
+        """Apply sum f u_g through the cylinder rewriting: each term and
+        block (s, h) give the one block (l*s', V_(l*t') sum_c index(l)^-1
+        f'(c) Y[psi_t'^-1(c)] h) of the module docstring, with f' the
+        level-l function ``inner``.  h is translated once per cell and
+        lifted once."""
         fam = self.family
-        levels: dict = {}
+        out = []
         for g, f in d.terms.items():
             for s, h in vec.blocks.items():
                 gs = fam.g_mul(g, fam.g_inv(fam.g_from_s(s)))
@@ -272,19 +285,17 @@ class InducedRep:
                     autodil.theta_star(tp, autodil.chi_K(fam)),
                 )
                 level = inner.level
-                weight = Fraction(1, fam.index(level))
+                weight = 1.0 / fam.index(level)
                 target_s = fam.s_mul(level, sp)
                 fam.require_level(target_s)
-                carrier = self.rep.apply_V(fam.s_mul(level, tp), h)
+                pairs = []
                 for c, val in inner.values.items():
-                    n = fam.canon(fam.psi_s(level, c))
-                    coeff = complex(val) * float(weight)
-                    moved = self.rep.apply_Y(n, carrier).values
-                    if moved:
-                        levels.setdefault(target_s, []).extend(
-                            (k, x * coeff) for k, x in moved.items()
-                        )
-        return DilationVector.build((s, SparseVector.build(p)) for s, p in levels.items())
+                    coeff = complex(val) * weight
+                    moved = self.rep.apply_Y(fam.canon(fam.psi_s_inv(tp, c)), h)
+                    pairs.extend((k, x * coeff) for k, x in moved.values.items())
+                lifted = self.rep.apply_V(fam.s_mul(level, tp), SparseVector.build(pairs))
+                out.append((target_s, lifted))
+        return DilationVector.build(out)
 
     def rho_p(self, vec: DilationVector) -> DilationVector:
         """rho of the distinguished projection: blockwise averaging."""

@@ -338,3 +338,110 @@ def test_random_cosets_are_canonical():
             fam.validate_s(s)
         for n in random_cosets(fam, rng, 20):
             assert fam.canon(n) == n
+
+
+def summed_vector(fam, rng, terms=3) -> SparseVector:
+    """A random vector on a ``direct_sum`` carrier, with parts in both summands."""
+    return SparseVector.build(
+        ((tag, k), c) for tag in "ab" for k, c in random_vector(fam, rng, terms).values.items()
+    )
+
+
+@pytest.mark.parametrize("fam", _four_families(), ids=FAMILY_IDS)
+def test_lift_commutes_with_translation(fam):
+    """The un-averaged covariance relation V_s Y_n = Y_[psi_s(n)] V_s, on the
+    regular representation and on a direct sum."""
+    rep = regular_covariant(fam, check=False)
+    two = direct_sum(rep, rep)
+    rng = random.Random(67)
+    for _ in range(3):
+        v = random_vector(fam, rng)
+        both = summed_vector(fam, rng)
+        for n in random_cosets(fam, rng, 2):
+            for s in fam.sample_levels():
+                m = fam.canon(fam.psi_s(s, n))
+                for r, x in ((rep, v), (two, both)):
+                    lhs = r.apply_V(s, r.apply_Y(n, x))
+                    assert lhs.values
+                    assert (lhs - r.apply_Y(m, r.apply_V(s, x))).norm() < TOL
+
+
+# -- hashing and accumulation semantics ---------------------------------------
+
+
+class CountedKey:
+    """A basis key that counts the calls of its ``__hash__``."""
+
+    hashes = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __hash__(self):
+        CountedKey.hashes += 1
+        return hash(self.k)
+
+    def __eq__(self, other):
+        return isinstance(other, CountedKey) and self.k == other.k
+
+    def __repr__(self):
+        return f"CountedKey({self.k!r})"
+
+
+def _hashes(fn):
+    CountedKey.hashes = 0
+    out = fn()
+    return out, CountedKey.hashes
+
+
+def test_sparse_operations_hash_each_key_once():
+    keys = [CountedKey(i) for i in range(10)]
+    a, count = _hashes(lambda: SparseVector.build((k, 1 + 1j) for k in keys[:6]))
+    assert count == 6
+    assert _hashes(a.norm)[1] == 0
+    b = SparseVector.build((k, 2.0) for k in keys[6:])
+    diff, count = _hashes(lambda: a - b)
+    assert count == len(b.values)
+    assert list(diff.values) == keys
+
+
+def test_norm_is_bit_for_bit_the_inner_product(bc):
+    rng = random.Random(73)
+    for _ in range(100):
+        v = random_vector(bc, rng, terms=20)
+        assert v.norm() == math.sqrt(v.inner(v).real)
+
+
+def test_accumulation_edge_cases():
+    a, b, c = (CountedKey(i) for i in range(3))
+    # A zero contribution for a new key is not stored.
+    assert SparseVector.build([(a, 0), (b, 1)]).values == {b: 1}
+    # v + v, with the same complex objects on both sides, doubles every value.
+    v = SparseVector.build([(a, 1 + 2j), (b, -0.5j)])
+    assert (v + v).values == {a: 2 + 4j, b: -1j}
+    # A key that cancels and comes back moves to the end.
+    back = SparseVector.build([(a, 1), (b, 1), (c, 1), (a, -1), (a, 3j)])
+    assert list(back.values.items()) == [(b, 1), (c, 1), (a, 3j)]
+    assert list((back - SparseVector.build([(b, 1)])).values) == [c, a]
+
+
+def test_subtraction_matches_adding_the_negative():
+    from hecke_lab.dilate import DilationVector
+
+    rng = random.Random(71)
+    for _ in range(200):
+        a, b = _cancelling_vectors(rng, 2)
+        _same(a - b, a + b.scale(-1))
+        _same(a - a, SparseVector({}))
+        assert (a - b).norm() == math.sqrt(max((a - b).inner(a - b).real, 0.0))
+        x, y = (
+            DilationVector.build(
+                (rng.choice([1, 2, 3]), h) for h in _cancelling_vectors(rng, rng.randint(1, 3))
+            )
+            for _ in range(2)
+        )
+        got, ref = x - y, x + y.scale(-1)
+        assert list(got.blocks) == list(ref.blocks)
+        for s, h in ref.blocks.items():
+            _same(got.blocks[s], h)
+        assert not (x - x).blocks

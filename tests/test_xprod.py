@@ -35,6 +35,7 @@ from hecke_lab.xprod import (
     theta_map,
     x_ind,
 )
+from test_repspace import summed_vector
 
 TOL = 1e-9
 
@@ -662,3 +663,90 @@ def test_serialization_roundtrip(bc):
     d = compose_corner(bc, 2, delta(bc, Fraction(1, 2)), 3)
     data = d.to_json()
     assert CrossedElement.from_json(bc, data) == d
+
+
+# -- the induction engine against its per-cell route ---------------------------
+
+
+def per_cell_act(ind, d, vec):
+    """Reference route for ``InducedRep.act``: lift each block to the carrier
+    V_(l t') h first, then translate that whole carrier by Y[psi_l(c)] once
+    per cell c of the level-l function and merge everything."""
+    fam = ind.family
+    rep = ind.rep
+    out = []
+    for g, f in d.terms.items():
+        for s, h in vec.blocks.items():
+            sp, tp = fam.g_reduce(fam.g_mul(g, fam.g_inv(fam.g_from_s(s))))
+            inner = autodil.convolve(autodil.theta_star(sp, f), autodil.theta_star(tp, chi_K(fam)))
+            level = inner.level
+            carrier = rep.apply_V(fam.s_mul(level, tp), h)
+            w = 1.0 / fam.index(level)
+            for c, val in inner.values.items():
+                n = fam.canon(fam.psi_s(level, c))
+                out.append((fam.s_mul(level, sp), rep.apply_Y(n, carrier).scale(complex(val) * w)))
+    return DilationVector.build(out)
+
+
+# (block levels, (s, t), cosets) per family; the blocks sit at every level.
+ACT_CASES = {
+    "bost-connes": (BostConnesFamily, [1, 2, 3], (2, 3), [F(1, 2), F(2, 3)]),
+    "padic(3)": (lambda: PadicFamily(3), [0, 1, 2], (1, 2), [F(1, 3), F(2, 9)]),
+    "matrix-diag": (
+        lambda: MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        [(0, 0), (0, 1)],
+        ((1, 0), (0, 1)),
+        [(F(1, 2), F(0)), (F(0), F(1, 3))],
+    ),
+}
+
+
+@pytest.mark.parametrize("summed", [False, True], ids=["regular", "direct-sum"])
+@pytest.mark.parametrize("name", sorted(ACT_CASES))
+def test_act_matches_per_cell_route(name, summed):
+    make, levels, (s, t), ns = ACT_CASES[name]
+    fam = make()
+    rep = regular_covariant(fam)
+    rng = random.Random(83)
+    if summed:
+        rep = repspace.direct_sum(rep, regular_covariant(fam, check=False))
+
+        def draw():
+            return summed_vector(fam, rng, 1)
+    else:
+
+        def draw():
+            return random_vector(fam, rng, 2)
+
+    ind = x_ind(rep)
+    dil = ind.dilation
+    a = grpalg.GroupAlgebraElement.build(fam, [(ns[0], QC(F(1), F(-1))), (ns[1], F(-2, 3))])
+    elements = [
+        projection_p(fam),
+        isom_v(fam, s),
+        isom_v(fam, t).star(),
+        embed_algebra(delta(fam, ns[0])),
+        compose_corner(fam, s, a, t),
+        xprod.module_element(fam, s, a, t),
+    ]
+    moved = 0
+    for d in elements:
+        vec = DilationVector.build((lvl, draw()) for lvl in levels)
+        got = ind.act(d, vec)
+        ref = per_cell_act(ind, d, vec)
+        assert dil.distance(got, ref) <= 1e-12
+        moved += dil.norm(ref) > 0.1
+    assert moved == len(elements)
+
+
+def test_equality_needs_the_same_family():
+    # Equal values over different families are different elements; equal
+    # families built separately still give equal elements.
+    assert grpalg.delta(PadicFamily(2), 0) != grpalg.delta(PadicFamily(3), 0)
+    assert projection_p(PadicFamily(2)) != projection_p(PadicFamily(3))
+    assert autodil.zero(BostConnesFamily()) != autodil.zero(PadicFamily(2))
+    assert CrossedElement(PadicFamily(2), {}) != CrossedElement(PadicFamily(3), {})
+    assert grpalg.delta(PadicFamily(3), 0) == grpalg.delta(PadicFamily(3), 0)
+    assert projection_p(PadicFamily(2)) == projection_p(PadicFamily(2))
+    assert autodil.zero(BostConnesFamily()) == autodil.zero(BostConnesFamily())
+    assert CrossedElement(PadicFamily(2), {}) == CrossedElement(PadicFamily(2), {})
