@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .coeffs import QC
 from .errors import PrecisionError
-from .pairs import PairFamily, frac_to_str, frac_from_json
+from .pairs import PairFamily, frac_to_str, frac_from_json, json_field, json_list
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +166,11 @@ class LocFun:
 
     @staticmethod
     def from_json(family: PairFamily, data) -> "LocFun":
-        level = family.s_from_json(data["level"])
+        level = family.s_from_json(json_field(data, "level", "a LocFun"))
         pairs = []
-        for rec in data["values"]:
-            c = QC(frac_from_json(rec["re"]), frac_from_json(rec["im"]))
-            pairs.append((family.n_from_json(rec["coset"]), c))
+        for rec in json_list(json_field(data, "values", "a LocFun"), "a LocFun's values"):
+            re, im = (frac_from_json(json_field(rec, k, "a LocFun value")) for k in ("re", "im"))
+            pairs.append((family.n_from_json(json_field(rec, "coset", "a LocFun value")), QC(re, im)))
         return LocFun.build(family, level, pairs)
 
 

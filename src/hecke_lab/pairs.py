@@ -18,7 +18,11 @@ from deterministic least upper bounds.
 Coset translation runs on integers.  Keys stay Fractions (tuples of them
 for ``matrix``) at the API, but ``solve_coset`` and ``translate`` write
 their inputs as integer numerators over one denominator and build each
-output Fraction once, instead of adding and reducing Fractions per coset:
+output Fraction from its integer code, instead of adding and reducing
+Fractions per coset.  The scalar families build one Fraction per key;
+``matrix`` reads each coordinate from a per-family table of Fractions by
+code, so a repeated coordinate is built once and is the same object
+wherever it recurs:
 
 * ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
   at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
@@ -344,6 +348,20 @@ def frac_from_json(data) -> Fraction:
     raise ConfigError(f"cannot parse rational from {data!r}")
 
 
+def json_field(data, name: str, what: str):
+    """data[name] for a JSON object data; a missing field, or data that is
+    not an object, is a ConfigError naming the field."""
+    if not isinstance(data, dict) or name not in data:
+        raise ConfigError(f"{what} needs a {name!r} field, got {data!r}")
+    return data[name]
+
+
+def json_list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ConfigError(f"{what} must be a list, got {data!r}")
+    return data
+
+
 def _int_from_json(data, what: str) -> int:
     """An int read from JSON; anything else (a float, a bool, a string) is
     a ConfigError rather than a silent int() coercion."""
@@ -633,6 +651,7 @@ class MatrixFamily(PairFamily):
         self._pow_cache = {}
         self._hnf_cache = {}
         self._solve_cache = {}
+        self._fraction_cache = {}
         # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
         self._unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         self._transpose = None
@@ -728,10 +747,31 @@ class MatrixFamily(PairFamily):
     def _decode(self, level, den, codes):
         """canon(y/den, level) as a tuple of Fractions, for each list y of
         integer numerators over den in codes: a reduction by the level's
-        HNF scaled by den."""
+        HNF scaled by den.
+
+        Each coordinate c/den is read from ``_fraction_cache``, keyed by the
+        integer code (c, den), and built there on first use.  A repeated
+        code then builds no Fraction, and equal coordinates from one den are
+        one object, which dict lookups and ``==`` on keys match by identity
+        before calling ``Fraction.__eq__``.  The fill is idempotent: a racing
+        second fill stores an equal Fraction, which costs only the sharing.
+        Coordinates repeat across keys, so the table stays small: 27,000
+        keys of a level-(3, 3) ``alpha`` share about a thousand codes.  The
+        scalar families keep no such table, because each of their keys is
+        one Fraction: the table would keep every key alive."""
         h = self._unit if level is None else self._hnf(level)
         scaled = [[den * x for x in row] for row in h]
-        return [tuple([Fraction(c, den) for c in hnf_reduce_int(scaled, y)]) for y in codes]
+        table = self._fraction_cache
+        out = []
+        for y in codes:
+            key = []
+            for c in hnf_reduce_int(scaled, y):
+                x = table.get((c, den))
+                if x is None:
+                    x = table[c, den] = Fraction(c, den)
+                key.append(x)
+            out.append(tuple(key))
+        return out
 
     def _solve_shifts(self, s, level):
         """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
@@ -848,6 +888,8 @@ class MatrixFamily(PairFamily):
         return [frac_to_str(x) for x in n]
 
     def n_from_json(self, data):
+        if not isinstance(data, (list, tuple)) or len(data) != self.dim:
+            raise ConfigError(f"a matrix coset is a list of {self.dim} rationals, got {data!r}")
         return tuple(frac_from_json(x) for x in data)
 
     def s_to_json(self, s):

@@ -53,7 +53,7 @@ from . import autodil, grpalg, tower
 from .autodil import LocFun
 from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
-from .pairs import PairFamily
+from .pairs import PairFamily, json_field, json_list
 from .repspace import CovariantRep, SparseVector, apply_algebra
 
 
@@ -144,8 +144,11 @@ class CrossedElement:
         return CrossedElement.build(
             family,
             [
-                (LocFun.from_json(family, rec["f"]), family.g_from_json(rec["g"]))
-                for rec in data
+                (
+                    LocFun.from_json(family, json_field(rec, "f", "a crossed-product term")),
+                    family.g_from_json(json_field(rec, "g", "a crossed-product term")),
+                )
+                for rec in json_list(data, "a crossed-product element")
             ],
         )
 

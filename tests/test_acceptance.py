@@ -15,7 +15,7 @@ import pytest
 
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import adeles, autodil, dilate, grpalg, repspace, tower, xprod
-from hecke_lab.autodil import chi_K, convolve, cylinder, embed_i, theta_star, theta_star_inv
+from hecke_lab.autodil import LocFun, chi_K, convolve, cylinder, embed_i, theta_star, theta_star_inv
 from hecke_lab.dilate import Dilation, DilationVector, restrict_compress
 from hecke_lab.grpalg import alpha, delta
 from hecke_lab.repspace import SparseVector, random_vector, regular_covariant
@@ -78,16 +78,27 @@ def test_criterion_1_convolution_homomorphism(bc):
 
 
 def test_criterion_2_intertwining(bc):
-    """Embedding intertwines averaging with the rescaled action, exactly."""
+    """Embedding intertwines averaging with the rescaled action, exactly.
+    Up to index 1000 the rescaled action is also checked against the
+    psi_reps + n_add + canon route, which shares no formula with the
+    integer-coded solve that both sides of the identity use."""
     start = time.perf_counter()
     ok = True
+
+    def fraction_route(fam, s, n):
+        base = fam.psi_s(s, fam.canon(n))
+        w = Fraction(1, fam.index(s))
+        return LocFun.build(fam, fam.s_identity, [(fam.n_add(base, pm), w) for pm in fam.psi_reps(s)])
 
     def run_family(fam, levels, gens):
         nonlocal ok
         for s in levels:
             for n in gens:
                 d = delta(fam, n)
-                if embed_i(alpha(s, d)) != theta_star(s, embed_i(d)):
+                image = theta_star(s, embed_i(d))
+                if embed_i(alpha(s, d)) != image or (
+                    fam.index(s) <= 1000 and image != fraction_route(fam, s, n)
+                ):
                     ok = False
                     return
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hecke_lab.coeffs import QC
-from hecke_lab.errors import PrecisionError
+from hecke_lab.errors import ConfigError, PrecisionError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import autodil, grpalg
 from hecke_lab.autodil import (
@@ -309,6 +309,20 @@ def test_serialization_roundtrip(bc):
     data = f.to_json()
     assert data["level"] == 6
     assert LocFun.from_json(bc, data) == f
+
+
+@pytest.mark.parametrize("field", ["level", "values", "coset", "re", "im"])
+def test_from_json_names_a_missing_field(bc, field):
+    data = LocFun.build(bc, 6, [(Fraction(5, 2), QC(Fraction(1, 3), Fraction(2)))]).to_json()
+    del (data if field in data else data["values"][0])[field]
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        LocFun.from_json(bc, data)
+
+
+def test_from_json_refuses_malformed_records(bc):
+    for data in ([], {"level": 1, "values": 5}, {"level": 1, "values": [["0/1", "1/1", "0/1"]]}):
+        with pytest.raises(ConfigError):
+            LocFun.from_json(bc, data)
 
 
 def _shortcut_cases():

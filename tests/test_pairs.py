@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hecke_lab import grpalg
 from hecke_lab.errors import ConfigError, LevelCapError
 from hecke_lab.lattice import (
     hermite_normal_form,
@@ -429,6 +430,12 @@ def test_element_serialization(bc, mat):
     v = (Fraction(1, 2), Fraction(-3))
     assert mat.n_from_json(mat.n_to_json(v)) == v
     assert mat.s_from_json(mat.s_to_json((2, 1))) == (2, 1)
+    # A matrix coset is a list of exactly dim rationals: one coordinate is
+    # not a shorter key, and three or a bare number are not a crash.
+    for bad in (["1/2"], ["1/2", "0", "1"], [], 5, "1/2", {"0": "1/2"}, ["1/2", 1.5]):
+        with pytest.raises(ConfigError):
+            mat.n_from_json(bad)
+    assert mat.n_from_json(("1/2", 3)) == (Fraction(1, 2), Fraction(3))
 
 
 def test_non_integer_parameters_are_config_errors(bc, p3, mat):
@@ -540,3 +547,50 @@ def test_translate_matches_fraction_route(case, data):
     got = fam.translate(x, keys, level)
     assert got == want and _fraction_coded(fam, got)
     assert [fam.canon(k, level) for k in got] == got
+
+
+# --- one Fraction per coordinate code in the matrix family ----------------------
+
+
+TABLE_FAMILIES = [
+    ([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+    ([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+]
+
+
+def _one_object_per_value(keys):
+    """Whether equal coordinates among keys are the same object."""
+    seen = {}
+    return all(seen.setdefault(c, c) is c for k in keys for c in k)
+
+
+@pytest.mark.parametrize("F, M", TABLE_FAMILIES)
+def test_matrix_keys_share_one_fraction_per_code(F, M):
+    """solve_coset and translate build exact Fraction coordinates, equal to
+    the psi_reps + n_add + canon route, and an equal coordinate is the same
+    object across calls."""
+    fam = MatrixFamily(F, M)
+    n = fam.canon(fam.psi_s((1, 1), (Fraction(1), Fraction(2))))
+    x = fam.psi_s((1, 0), (Fraction(3), Fraction(-1)))
+    for level in (None, (1, 0), (1, 1)):
+        a = fam.s_identity if level is None else level
+        for s in ((1, 0), (0, 1), (1, 1)):
+            base = fam.psi_s(s, fam.canon(n, level))
+            want = [fam.canon(fam.n_add(base, fam.psi_s_inv(a, pm)), level) for pm in fam.psi_reps(s)]
+            got, again = fam.solve_coset(s, n, level), fam.solve_coset(s, n, level)
+            assert got == want == again
+            assert _fraction_coded(fam, got) and _one_object_per_value(got + again)
+            moved, moved_again = fam.translate(x, got, level), fam.translate(x, got, level)
+            assert moved == [fam.canon(fam.n_add(k, x), level) for k in got] == moved_again
+            assert _fraction_coded(fam, moved) and _one_object_per_value(moved + moved_again)
+
+
+def test_fraction_table_holds_far_fewer_entries_than_keys():
+    """The table is keyed by coordinate code, not by key: 27,000 keys of a
+    level-(3, 3) alpha share about a thousand Fractions, so it costs far
+    less memory than the keys themselves."""
+    fam = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+    n = fam.canon(fam.psi_s((1, 1), (Fraction(1), Fraction(2))))
+    out = grpalg.alpha((3, 3), grpalg.delta(fam, n))
+    assert len(out.values) == fam.index((3, 3)) == 27_000
+    assert 0 < len(fam._fraction_cache) < 2_700

@@ -1,6 +1,6 @@
-"""The golden ``verify --seed 1`` reports of the two scalar families still
-come out the same (``report_gate`` says what "the same" means); the matrix
-reports are compared by the same gate in CI, where their time fits."""
+"""Every golden ``verify --seed 1`` report, the two scalar families' and
+the six matrix suites', still comes out the same (``report_gate`` says
+what "the same" means)."""
 
 import json
 
@@ -12,6 +12,11 @@ from report_gate import GOLDEN, RUN_SETTINGS, compare, rerun
 
 @pytest.mark.parametrize("name", ["bost-connes-all.jsonl", "padic-3-all.jsonl"])
 def test_scalar_family_reports_match_golden(name):
+    assert rerun(GOLDEN / name) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("matrix-*.jsonl")))
+def test_matrix_reports_match_golden(name):
     assert rerun(GOLDEN / name) == []
 
 

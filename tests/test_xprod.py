@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hecke_lab.coeffs import QC
-from hecke_lab.errors import NotInCornerError
+from hecke_lab.errors import ConfigError, NotInCornerError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import autodil, dilate, grpalg, repspace, tower, xprod
 from hecke_lab.autodil import chi_K, cylinder, theta_star_g
@@ -665,6 +665,20 @@ def test_serialization_roundtrip(bc):
     assert CrossedElement.from_json(bc, data) == d
 
 
+@pytest.mark.parametrize("field", ["f", "g"])
+def test_from_json_names_a_missing_field(bc, field):
+    data = compose_corner(bc, 2, delta(bc, Fraction(1, 2)), 3).to_json()
+    del data[0][field]
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        CrossedElement.from_json(bc, data)
+
+
+def test_from_json_refuses_malformed_records(bc):
+    for data in ({"f": {}, "g": "1"}, [["f", "g"]]):
+        with pytest.raises(ConfigError):
+            CrossedElement.from_json(bc, data)
+
+
 # -- the induction engine against its per-cell route ---------------------------
 
 
@@ -750,3 +764,30 @@ def test_equality_needs_the_same_family():
     assert projection_p(PadicFamily(2)) == projection_p(PadicFamily(2))
     assert autodil.zero(BostConnesFamily()) == autodil.zero(BostConnesFamily())
     assert CrossedElement(PadicFamily(2), {}) == CrossedElement(PadicFamily(2), {})
+
+
+def _value_hash(f):
+    return hash(frozenset(f.values.items()))
+
+
+def test_equal_matrix_families_give_equal_elements():
+    """Two equal matrix families each fill their own Fraction table, so
+    their keys' coordinates are distinct objects; elements built on each
+    still compare equal and hash equal, whichever instance built them."""
+    one, two = (MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]) for _ in range(2))
+    assert one == two and hash(one) == hash(two)
+
+    def build(fam):
+        a = delta(fam, fam.psi_s((1, 1), (Fraction(1), Fraction(2))), QC(Fraction(1), Fraction(-2)))
+        f = autodil.theta_star((1, 1), autodil.embed_i(grpalg.alpha((1, 0), a)))
+        return f, compose_corner(fam, (1, 0), a, (0, 1))
+
+    (f1, x1), (f2, x2) = build(one), build(two)
+    assert len(f1.values) == 180 and one._fraction_cache and two._fraction_cache
+    k1, k2 = (next(iter(sorted(f.values))) for f in (f1, f2))
+    assert k1 == k2 and all(a is not b for a, b in zip(k1, k2))
+    assert f1 == f2 and f2 == f1 and (f1 - f2).is_zero()
+    assert _value_hash(f1) == _value_hash(f2)
+    assert x1 == x2 and x2 == x1 and (x1 - x2).is_zero()
+    assert x1.terms.keys() == x2.terms.keys()
+    assert all(_value_hash(x1.terms[g]) == _value_hash(x2.terms[g]) for g in x1.terms)
