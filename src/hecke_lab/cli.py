@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -46,6 +47,12 @@ class RunConfig:
             raise ConfigError("depth, max-level and trial counts must be positive")
         if not (0.0 < self.tolerance <= 1e-3):
             raise ConfigError("tolerance must lie in (0, 1e-3]")
+        if self.report is not None:
+            if os.path.isdir(self.report):
+                raise ConfigError(f"report path {self.report!r} is a directory")
+            folder = os.path.dirname(self.report) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"report directory {folder!r} does not exist")
 
 
 @dataclass
@@ -503,9 +510,9 @@ def check_isometries(ctx: Ctx):
         worst = max(worst, abs(rep.apply_V(s, v).norm() - v.norm()))
         worst = max(
             worst,
-            (rep.apply_V(s, rep.apply_V(t, v)) - rep.apply_V(fam.s_mul(s, t), v)).norm(),
+            rep.apply_V(s, rep.apply_V(t, v)).distance(rep.apply_V(fam.s_mul(s, t), v)),
         )
-        worst = max(worst, (rep.apply_Vstar(s, rep.apply_V(s, v)) - v).norm())
+        worst = max(worst, rep.apply_Vstar(s, rep.apply_V(s, v)).distance(v))
     return _float(worst, ctx.tol)
 
 
@@ -521,7 +528,7 @@ def check_average_projection(ctx: Ctx):
         for _ in range(4):
             v, w = ctx.vectors(2)
             pv = repspace.average_projection(maps, v)
-            worst = max(worst, (repspace.average_projection(maps, pv) - pv).norm())
+            worst = max(worst, repspace.average_projection(maps, pv).distance(pv))
             pw = repspace.average_projection(maps, w)
             worst = max(worst, abs(pv.inner(w) - v.inner(pw)))
     return _float(worst, ctx.tol)
@@ -763,10 +770,10 @@ def check_eval_corner(ctx: Ctx):
         for v in ctx.vectors(2):
             lhs = xprod.eval_corner(rep, tri1, xprod.eval_corner(rep, tri2, v))
             rhs = xprod.eval_corner(rep, tri12, v)
-            worst = max(worst, (lhs - rhs).norm())
+            worst = max(worst, lhs.distance(rhs))
     p_id = xprod.corner_decompose(xprod.projection_p(fam))
     for v in ctx.vectors(2):
-        worst = max(worst, (xprod.eval_corner(rep, p_id, v) - v).norm())
+        worst = max(worst, xprod.eval_corner(rep, p_id, v).distance(v))
     return _float(worst, ctx.tol)
 
 
@@ -1200,9 +1207,14 @@ CHECKS = [
 
 
 def run(config: RunConfig):
-    """Execute the selected suites; returns the sorted list of check reports."""
+    """Execute the selected suites; returns the sorted list of check reports.
+
+    Every check draws from its own ``random.Random(config.seed)`` but shares
+    one ``Ctx.cache``, so the covariant pair and its self-check are built
+    once per run."""
     config.validate()
     family = family_from_config(config.family)
+    cache: dict = {}
     reports = []
     for check_id, suite, statement, fams, fn in CHECKS:
         if config.suite != "all" and suite != config.suite:
@@ -1218,6 +1230,7 @@ def run(config: RunConfig):
             max_level=config.max_level,
             trials=config.trials,
             tol=config.tolerance,
+            cache=cache,
         )
         start = time.perf_counter()
         try:

@@ -132,6 +132,11 @@ class Dilation:
         return h.norm()
 
     def distance(self, v: DilationVector, w: DilationVector) -> float:
+        """``norm(v - w)``; two one-block vectors at the same level take the
+        carrier's ``SparseVector.distance``, which equals it bit for bit."""
+        if len(v.blocks) == 1 and v.blocks.keys() == w.blocks.keys():
+            (s, h), = v.blocks.items()
+            return h.distance(w.blocks[s])
         return self.norm(v - w)
 
     def gram(self, vectors) -> np.ndarray:
@@ -206,13 +211,14 @@ class Dilation:
     def project_block(self, s, h: SparseVector) -> SparseVector:
         """Carrier of the projection of the block (s, h) onto the fixed
         space of the subgroup unitaries: the average of the index(s)
-        translations of h from the solution set over the identity coset."""
+        translations of h by ``solve_coset(s, 0)``, the canonical
+        psi_s(m) for m in the level-s transversal, in transversal order."""
         fam = self.family
         w = complex(1.0 / fam.index(s))
         return SparseVector.build(
             (k, x * w)
-            for m in fam.coset_reps(s)
-            for k, x in self.rep.apply_Y(fam.canon(fam.psi_s(s, m)), h).values.items()
+            for n in fam.solve_coset(s, fam.n_identity)
+            for k, x in self.rep.apply_Y(n, h).values.items()
         )
 
     def project_fixed(self, v: DilationVector) -> DilationVector:

@@ -118,6 +118,27 @@ class SparseVector:
             total += v.real * v.real + v.imag * v.imag
         return math.sqrt(total)
 
+    def distance(self, other: "SparseVector") -> float:
+        """``(self - other).norm()`` without building the difference: the
+        same terms x + -y, added in the same key order (self's keys, then
+        other's keys that self lacks), so bit for bit equal to it.  A key
+        whose difference is zero adds 0.0 where the difference drops it.
+        other's keys are looked up again only when some are unmatched."""
+        theirs = other.values
+        total = 0.0
+        matched = 0
+        for k, x in self.values.items():
+            y = theirs.get(k)
+            if y is not None:
+                matched += 1
+                x = x + -y
+            total += x.real * x.real + x.imag * x.imag
+        if matched < len(theirs):
+            for k, y in theirs.items():
+                if k not in self.values:
+                    total += y.real * y.real + y.imag * y.imag
+        return math.sqrt(total)
+
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for v in self.values.values())
 
@@ -195,7 +216,7 @@ def verify_covariance(rep: CovariantRep, s, n, v: SparseVector) -> float:
     rhs = SparseVector.build(
         (k, x * w) for m in fam.solve_coset(s, n) for k, x in rep.apply_Y(m, v).values.items()
     )
-    return (lhs - rhs).norm()
+    return lhs.distance(rhs)
 
 
 def average_projection(unitaries, v: SparseVector) -> SparseVector:

@@ -33,16 +33,24 @@ with g s^-1 = s'^-1 t', through the cylinder identity
     chi(level-l cylinder over c) = index(l)^-1 u_l^* delta-generator(psi_l(c)) u_l,
 
 which turns it into a combination of blocks (l*s', Y[psi_l(c)] V_(l*t') h)
-over the cells c of the level-l function f' = beta_s'(f) * beta_t'(p).
-The covariance relation
+over the cells c of a level-l function f'.  The covariance relation
 Y[psi_u(m)] V_u = V_u Y_m (see ``repspace``) with u = l*t' and
 m = psi_t'^-1(c) moves the lift out of the sum, so each term and block
 give the one block
 
-    (l*s', V_(l*t') sum_c index(l)^-1 f'(c) Y[psi_t'^-1(c)] h),
+    (l*s', V_(l*t') sum_c index(l)^-1 f'(c) Y[psi_t'^-1(c)] h).
 
-and h is translated once per cell and lifted once.  Restriction-compression
-goes the other way by cutting with the projection.
+The function part of (f u_g) u_s^* p is the convolution of beta_s'(f)
+with beta_t'(p), but f' = beta_s'(f), at f's level l, gives the same
+block.  beta_t'(p) is index(t')^-1 times the indicator of psi_t'(M) + K,
+of total mass one, so convolving with it only averages beta_s'(f) over
+translates by psi_t'(M), which contains M.  The cell vector
+Y[psi_t'^-1(c)] h does not change under those translates, since
+psi_t'^-1 maps psi_t'(M) onto M and cosets are taken mod M; and the
+index(l)^-1-weighted cell sum is a Haar integral, so averaging its
+integrand first changes nothing.  h is translated once per cell of f'
+and lifted once.  Restriction-compression goes the other way by cutting
+with the projection.
 """
 
 from __future__ import annotations
@@ -275,18 +283,17 @@ class InducedRep:
         """Apply sum f u_g through the cylinder rewriting: each term and
         block (s, h) give the one block (l*s', V_(l*t') sum_c index(l)^-1
         f'(c) Y[psi_t'^-1(c)] h) of the module docstring, with f' the
-        level-l function ``inner``.  h is translated once per cell and
-        lifted once."""
+        level-l function ``inner`` = beta_s'(f).  The module docstring's
+        invariance argument drops the averaging factor beta_t'(p): each
+        cell's vector is fixed by the translates it averages over.  h is
+        translated once per cell and lifted once."""
         fam = self.family
         out = []
         for g, f in d.terms.items():
             for s, h in vec.blocks.items():
                 gs = fam.g_mul(g, fam.g_inv(fam.g_from_s(s)))
                 sp, tp = fam.g_reduce(gs)
-                inner = autodil.convolve(
-                    autodil.theta_star(sp, f),
-                    autodil.theta_star(tp, autodil.chi_K(fam)),
-                )
+                inner = autodil.theta_star(sp, f)
                 level = inner.level
                 weight = 1.0 / fam.index(level)
                 target_s = fam.s_mul(level, sp)

@@ -191,6 +191,36 @@ def test_main_matrix_input_errors_exit_2(option, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_main_unwritable_report_exits_2_before_any_check(where, monkeypatch, tmp_path, capsys):
+    ran = []
+    monkeypatch.setattr(
+        cli, "CHECKS", [("algebra.probe", "algebra", "runs", None, lambda ctx: ran.append(1))]
+    )
+    path = tmp_path / "absent" / "r.jsonl" if where == "missing-directory" else tmp_path
+    assert main(["verify", "--suite", "algebra", "--report", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert ran == []
+    assert not (tmp_path / "absent").exists()
+
+
+def test_one_covariant_pair_per_run(monkeypatch):
+    """Checks share the run's cache, so the covariant pair and its
+    self-check are built once, however many dilation checks use it."""
+    calls = []
+    build = cli.repspace.regular_covariant
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli.repspace, "regular_covariant", counting)
+    reports = run(small_config(suite="dilation"))
+    assert len(reports) > 1
+    assert all(r.status == "pass" for r in reports)
+    assert len(calls) == 1
+
+
 def test_console_script_entrypoint():
     result = subprocess.run(
         [sys.executable, "-m", "hecke_lab.cli", "families"],

@@ -321,3 +321,22 @@ def test_gram_equals_pairwise_inner(dil, bc):
             assert g[i, j] == val
             if j != i:
                 assert g[j, i] == val.conjugate()
+
+
+def test_distance_is_bit_for_bit_the_norm_of_the_difference(dil):
+    """One block at one level takes ``SparseVector.distance``; every other
+    pair goes through ``raise_blocks``.  Both equal ``norm(v - w)`` exactly."""
+    rng = random.Random(89)
+    one_level = 0
+    for _ in range(100):
+        levels = rng.sample([1, 2, 3, 4, 6], rng.randint(1, 2))
+        v, w = (
+            DilationVector.build(
+                (rng.choice(levels), h) for h in _cancelling_vectors(rng, rng.randint(1, 3))
+            )
+            for _ in range(2)
+        )
+        one_level += len(v.blocks) == 1 and v.blocks.keys() == w.blocks.keys()
+        assert dil.distance(v, w) == dil.norm(v - w)
+        assert dil.distance(v, v) == 0.0
+    assert 10 < one_level < 90

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hecke_lab.coeffs import QC
 from hecke_lab.errors import ConfigError
@@ -403,6 +404,10 @@ def test_sparse_operations_hash_each_key_once():
     diff, count = _hashes(lambda: a - b)
     assert count == len(b.values)
     assert list(diff.values) == keys
+    # distance looks other's keys up again only when some are unmatched.
+    a2 = a.scale(2)
+    assert _hashes(lambda: a.distance(a2))[1] == len(a.values)
+    assert _hashes(lambda: a.distance(b))[1] == len(a.values) + len(b.values)
 
 
 def test_norm_is_bit_for_bit_the_inner_product(bc):
@@ -445,3 +450,40 @@ def test_subtraction_matches_adding_the_negative():
         for s, h in ref.blocks.items():
             _same(got.blocks[s], h)
         assert not (x - x).blocks
+
+
+_FINITE = st.floats(min_value=-4, max_value=4)
+_VALUES = st.builds(complex, _FINITE, _FINITE)
+_KEY_POOLS = (
+    [Fraction(k, 4) for k in range(8)],
+    [(tag, Fraction(k, 2)) for tag in "ab" for k in range(4)],  # direct_sum keys
+)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two vectors over one key pool, with shared, disjoint and exactly
+    cancelling keys: the second copies some of the first's values."""
+    keys = draw(st.sampled_from(_KEY_POOLS))
+    a = draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys)))
+    b = draw(st.dictionaries(st.sampled_from(keys), _VALUES, max_size=len(keys)))
+    if a:
+        b.update((k, a[k]) for k in draw(st.sets(st.sampled_from(list(a)))))
+    order = draw(st.permutations(list(b)))
+    return SparseVector.build(a.items()), SparseVector.build((k, b[k]) for k in order)
+
+
+_X, _Y = Fraction(0), Fraction(1, 2)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_vector_pairs())
+@example((SparseVector({}), SparseVector({})))
+@example((SparseVector({}), SparseVector({_X: 1 + 2j})))
+@example((SparseVector({_X: 0.1 + 0.2j, _Y: 3j}), SparseVector({_X: 0.1 + 0.2j, _Y: 3j})))
+@example((SparseVector({_X: 0.1 + 0j}), SparseVector({_Y: -0.3j})))
+@example((SparseVector({("a", _X): 1e-3 + 1j}), SparseVector({("b", _X): 1 + 0j, ("a", _X): 2j})))
+def test_distance_is_bit_for_bit_the_norm_of_the_difference(pair):
+    a, b = pair
+    assert a.distance(b) == (a - b).norm()
+    assert b.distance(a) == (b - a).norm()

@@ -685,7 +685,12 @@ def test_from_json_refuses_malformed_records(bc):
 def per_cell_act(ind, d, vec):
     """Reference route for ``InducedRep.act``: lift each block to the carrier
     V_(l t') h first, then translate that whole carrier by Y[psi_l(c)] once
-    per cell c of the level-l function and merge everything."""
+    per cell c of the level-l function and merge everything.
+
+    It keeps the convolution beta_s'(f) * beta_t'(p) that ``act`` drops by
+    the invariance argument of the ``xprod`` docstring, so it shares no
+    formula with ``act``.  ``ACT_CASES`` reach terms above the identity
+    level with t' != identity on all three families."""
     fam = ind.family
     rep = ind.rep
     out = []
