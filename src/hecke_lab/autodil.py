@@ -10,7 +10,8 @@ Key operations:
 * ``refine``      - re-express a function at a deeper level (same function);
 * ``convolve``    - Haar-weighted convolution (also spelled ``f * g``),
                     paired at the meet level by the cylinder identity
-                    1_{x+H} * 1_{y+K} = mu(H cap K) 1_{x+y+H+K};
+                    1_{x+H} * 1_{y+K} = mu(H cap K) 1_{x+y+H+K}, and summed
+                    in integer numerators, one ``QC`` per output key;
 * ``embed_i``     - the unital embedding of the N/M group algebra onto the
                     level-identity functions, sending a generator to the
                     indicator of its cylinder;
@@ -20,7 +21,13 @@ Key operations:
 
 The group algebra of N/M is the identity level of this algebra:
 ``grpalg.GroupAlgebraElement`` is a ``LocFun`` pinned there.  Values are
-exact ``QC`` coefficients throughout.
+exact ``QC`` coefficients throughout.  Sums of values go through
+``coeffs.accumulate``, the merge the float vectors of ``repspace`` use:
+each key is hashed once, a key whose sum is zero is dropped, and one that
+comes back is appended at the end, so key order is a function of the
+order of the summands.  Maps that are injective on cosets (``star``,
+``scale``, ``theta_star``, ``theta_star_inv``, ``refine``) fill their
+dict directly.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeffs import QC
+from .coeffs import QC, accumulate, qc_from_ints, qc_numerators
 from .errors import PrecisionError
 from .pairs import PairFamily, frac_to_str, frac_from_json, json_field, json_list
 
@@ -52,22 +59,18 @@ class LocFun:
     @staticmethod
     def build(family: PairFamily, level, pairs, exact=True) -> "LocFun":
         """Normalize (coset, coefficient) pairs: canonical keys, no zeros.
-        ``exact`` outlives the removed float backend only because wrappers
-        of ``build`` (bench/tracing.py) pass it positionally: True only."""
+
+        Each coset is reduced by ``canon`` and each coefficient made a
+        ``QC``; ``coeffs.accumulate`` then sums them left to right with one
+        hash per pair, drops keys whose sum is zero and re-appends a key
+        that comes back.  ``exact`` outlives the removed float backend only
+        because wrappers of ``build`` (bench/tracing.py) pass it
+        positionally: True only."""
         if exact is not True:
             raise ValueError("LocFun coefficients are exact QC values; exact must be True")
         family.validate_s(level)
-        out = {}
-        for n, c in pairs:
-            key = family.canon(n, level)
-            c = QC.of(c)
-            if key in out:
-                c = out[key] + c
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-        return LocFun(family, level, out)
+        canon, of = family.canon, QC.of
+        return LocFun(family, level, accumulate({}, ((canon(n, level), of(c)) for n, c in pairs)))
 
     def _with(self, values) -> "LocFun":
         """Same family, level and class; the values must hold the invariant."""
@@ -104,14 +107,8 @@ class LocFun:
     def __add__(self, other: "LocFun") -> "LocFun":
         t = self.common_level(other)
         a, b = self.refine(t), other.refine(t)
-        merged = dict(a.values)
-        for k, c in b.values.items():
-            c = merged.get(k, 0) + c
-            if c:
-                merged[k] = c
-            else:
-                merged.pop(k, None)
-        return a._with(merged)
+        # The copy reuses the stored hashes of the left operand's keys.
+        return a._with(accumulate(dict(a.values), b.values.items()))
 
     def __neg__(self):
         return self._with({k: -c for k, c in self.values.items()})
@@ -123,15 +120,21 @@ class LocFun:
         return convolve(self, other)
 
     def scale(self, q: Fraction) -> "LocFun":
-        pairs = ((k, c * q) for k, c in self.values.items())
-        return self._with(LocFun.build(self.family, self.level, pairs).values)
+        """The keys stay canonical and distinct, and q = 0 is the only
+        scalar that makes a value zero."""
+        if not q:
+            return self._with({})
+        return self._with({k: c * q for k, c in self.values.items()})
 
     def star(self) -> "LocFun":
         """Involution: conjugate values on inverted cosets (unimodular, so
-        no modular correction)."""
-        fam = self.family
-        pairs = ((fam.n_neg(k), c.conjugate()) for k, c in self.values.items())
-        return self._with(LocFun.build(fam, self.level, pairs).values)
+        no modular correction).  n -> -n permutes the level cosets, so
+        distinct keys stay distinct; only ``canon`` is needed, to bring -n
+        back into the canonical box."""
+        fam, level = self.family, self.level
+        return self._with(
+            {fam.canon(fam.n_neg(k), level): c.conjugate() for k, c in self.values.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self.values
@@ -201,17 +204,34 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     product is refined to j: the pointwise-oracle test and the benchmark's
     convolution check pin the output level, so returning level m would need
     both changed.
+
+    The sum is taken in integers.  Each factor's values are written over
+    one common denominator D_f, D_g (``coeffs.qc_numerators``), and each
+    pair adds its product's two integer numerators into a [re, im] cell
+    for its key, found with one ``setdefault``; ``translate`` already
+    returns canonical level-m keys, so there is no ``canon``.  A cell that
+    returns to (0, 0) is deleted, so a key that comes back is appended at
+    the end, as ``LocFun.build`` orders a merge.  Each surviving cell is
+    normalised once, over D_f * D_g * index(j), into one ``QC``: values
+    and key order equal those of ``build`` over the ``QC`` products.
     """
     fam = f.family
     t = f.common_level(g)
     m = fam.s_meet(f.level, g.level)
-    w = Fraction(1, fam.index(t))
-    pairs = []
-    for ca, va in f.values.items():
-        va = va * w
-        for key, vb in zip(fam.translate(ca, g.values, m), g.values.values()):
-            pairs.append((key, va * vb))
-    return LocFun.build(fam, m, pairs).refine(t)
+    df, f_nums = qc_numerators(f.values.values())
+    dg, g_nums = qc_numerators(g.values.values())
+    cells = {}
+    setdefault = cells.setdefault
+    for ca, (a, b) in zip(f.values, f_nums):
+        for key, (c, d) in zip(fam.translate(ca, g.values, m), g_nums):
+            cell = setdefault(key, [0, 0])
+            cell[0] += a * c - b * d
+            cell[1] += a * d + b * c
+            if not (cell[0] or cell[1]):
+                del cells[key]
+    den = df * dg * fam.index(t)
+    out = {key: qc_from_ints(re, im, den) for key, (re, im) in cells.items()}
+    return LocFun(fam, m, out).refine(t)
 
 
 def embed_i(a: LocFun) -> LocFun:
@@ -251,7 +271,10 @@ def theta_star_inv(s, f: LocFun) -> LocFun:
     """Inverse of ``theta_star(s, .)``; moves level a to a*s.
 
     A level-a cylinder over c goes to index(s) times the level-(a*s)
-    cylinder over the preimage of c.
+    cylinder over the preimage of c.  psi_s^-1 maps the level-a subgroup
+    onto the level-(a*s) one, so distinct keys go to distinct cosets and
+    the dict is filled directly; ``canon`` stays, because for a
+    non-diagonal HNF the preimage can leave the canonical box.
     """
     fam = f.family
     fam.validate_s(s)
@@ -261,10 +284,8 @@ def theta_star_inv(s, f: LocFun) -> LocFun:
     deeper = fam.s_mul(a, s)
     fam.require_level(deeper)
     idx = Fraction(fam.index(s))
-    pairs = []
-    for c, v in f.values.items():
-        pairs.append((fam.psi_s_inv(s, c), v * idx))
-    return LocFun.build(fam, deeper, pairs)
+    values = {fam.canon(fam.psi_s_inv(s, c), deeper): v * idx for c, v in f.values.items()}
+    return LocFun(fam, deeper, values)
 
 
 def theta_star_g(g, f: LocFun) -> LocFun:

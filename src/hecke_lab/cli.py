@@ -226,9 +226,10 @@ def check_alpha_endomorphism(ctx: Ctx):
         s = ctx.rng.choice(ctx.small_s())
         a = _random_algebra_element(ctx)
         b = _random_algebra_element(ctx)
-        if grpalg.alpha(s, a * b) != grpalg.alpha(s, a) * grpalg.alpha(s, b):
+        alpha_a = grpalg.alpha(s, a)
+        if grpalg.alpha(s, a * b) != alpha_a * grpalg.alpha(s, b):
             return _exact(False, f"multiplicativity failed at {s!r}")
-        if grpalg.alpha(s, a.star()) != grpalg.alpha(s, a).star():
+        if grpalg.alpha(s, a.star()) != alpha_a.star():
             return _exact(False, f"star compatibility failed at {s!r}")
     return _exact(True)
 
@@ -507,12 +508,13 @@ def check_isometries(ctx: Ctx):
         s = ctx.rng.choice(ctx.small_s())
         t = ctx.rng.choice(ctx.small_s())
         v = ctx.vectors(1)[0]
-        worst = max(worst, abs(rep.apply_V(s, v).norm() - v.norm()))
+        vs = rep.apply_V(s, v)
+        worst = max(worst, abs(vs.norm() - v.norm()))
         worst = max(
             worst,
             rep.apply_V(s, rep.apply_V(t, v)).distance(rep.apply_V(fam.s_mul(s, t), v)),
         )
-        worst = max(worst, rep.apply_Vstar(s, rep.apply_V(s, v)).distance(v))
+        worst = max(worst, rep.apply_Vstar(s, vs).distance(v))
     return _float(worst, ctx.tol)
 
 
@@ -521,9 +523,11 @@ def check_average_projection(ctx: Ctx):
     fam = ctx.family
     worst = 0.0
     for s in ctx.small_s()[:4]:
+        # solve_coset(s, 0) lists canon(psi_s(m)) over the level-s
+        # transversal, in its order, without a Fraction matrix product.
         maps = [
-            (lambda n: (lambda v: rep.apply_Y(fam.canon(fam.psi_s(s, n)), v)))(m)
-            for m in fam.coset_reps(s)
+            (lambda n: (lambda v: rep.apply_Y(n, v)))(n)
+            for n in fam.solve_coset(s, fam.n_identity)
         ]
         for _ in range(4):
             v, w = ctx.vectors(2)

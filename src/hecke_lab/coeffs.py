@@ -5,15 +5,19 @@ algebra elements and locally constant functions carry `QC` coefficients,
 so equality tests are exact.  A `QC` is coded as three plain ints
 (a, b, d) standing for (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1.
 That form is unique, so equality and hashing compare ints, and every
-operation is a few integer products normalised by one ``math.gcd``.  The
-Hilbert-space side (representations, dilation vectors) uses ordinary
-`complex`, because isometries introduce square roots of indices.
+operation is a few integer products normalised by one ``math.gcd``.  A
+long sum of products skips the per-term gcd: ``qc_numerators`` writes each
+factor's values over one common denominator, the caller adds integer
+numerators, and ``qc_from_ints`` normalises the total once.  ``accumulate``
+is the keyed merge that sums of ``QC`` values and of ``complex`` vectors
+share.  The Hilbert-space side (representations, dilation vectors) uses
+ordinary `complex`, because isometries introduce square roots of indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _new = object.__new__
 
@@ -38,7 +42,7 @@ class QC:
             raise TypeError(
                 f"cannot build exact coefficient from {type(re).__name__}, {type(im).__name__}"
             )
-        z = _norm(p * s, r * q, q * s)
+        z = qc_from_ints(p * s, r * q, q * s)
         self.a, self.b, self.d = z.a, z.b, z.d
 
     @staticmethod
@@ -76,11 +80,11 @@ class QC:
         a, b, d = self.a, self.b, self.d
         if type(other) is QC:
             e = other.d
-            return _norm(a * e + other.a * d, b * e + other.b * d, d * e)
+            return qc_from_ints(a * e + other.a * d, b * e + other.b * d, d * e)
         p, q = _ratio(other)
         if p is None:
             return NotImplemented
-        return _norm(a * q + p * d, b * q, d * q)
+        return qc_from_ints(a * q + p * d, b * q, d * q)
 
     __radd__ = __add__
 
@@ -94,11 +98,11 @@ class QC:
         a, b, d = self.a, self.b, self.d
         if type(other) is QC:
             x, y = other.a, other.b
-            return _norm(a * x - b * y, a * y + b * x, d * other.d)
+            return qc_from_ints(a * x - b * y, a * y + b * x, d * other.d)
         p, q = _ratio(other)
         if p is None:
             return NotImplemented
-        return _norm(a * p, b * p, d * q)
+        return qc_from_ints(a * p, b * p, d * q)
 
     __rmul__ = __mul__
 
@@ -108,7 +112,7 @@ class QC:
         norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("QC zero has no inverse")
-        return _norm(d * a, -d * b, norm)
+        return qc_from_ints(d * a, -d * b, norm)
 
     def conjugate(self) -> "QC":
         return _qc(self.a, -self.b, self.d)
@@ -134,10 +138,47 @@ def _qc(a: int, b: int, d: int) -> QC:
     return z
 
 
-def _norm(a: int, b: int, d: int) -> QC:
-    """A QC from any fields with d > 0, divided by gcd(a, b, d)."""
+def qc_from_ints(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i)/d from any ints with d > 0, divided by gcd(a, b, d)."""
     g = gcd(a, b, d)
     return _qc(a // g, b // g, d // g)
+
+
+def qc_numerators(values):
+    """(D, [(a, b), ...]): each QC of ``values``, in order, as (a + b*i)/D
+    over D, the least common denominator of them all (1 when there are
+    none).  Products of two such lists then need no gcd until the end."""
+    values = list(values)
+    den = lcm(*(z.d for z in values))
+    return den, [(z.a * (den // z.d), z.b * (den // z.d)) for z in values]
+
+
+def accumulate(out: dict, pairs) -> dict:
+    """Add each (key, value) into ``out`` in order and return ``out``.
+
+    A key whose sum is zero is dropped; a dropped key that comes back
+    starts again from its value, at the end of the key order.  Values are
+    stored as given, with no conversion, so this serves exact ``QC`` sums
+    and ``complex`` vectors alike: the caller converts at its boundary.
+
+    One ``setdefault`` per pair looks the key up and inserts a new one, so
+    a new key is hashed once.  Whether the key was new is read off the
+    dict's size, not off ``prev is c``: the same object can be added twice
+    under one key (``v + v``).
+    """
+    setdefault = out.setdefault
+    for k, c in pairs:
+        size = len(out)
+        prev = setdefault(k, c)
+        if len(out) == size:
+            c = prev + c
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        elif not c:
+            del out[k]
+    return out
 
 
 def _ratio(x):

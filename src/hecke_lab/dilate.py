@@ -43,14 +43,14 @@ class DilationVector:
     @staticmethod
     def build(pairs) -> "DilationVector":
         """Sum the blocks level by level: the blocks of one level are
-        merged by one ``SparseVector.build``, in the order given, and levels
+        merged by one ``SparseVector.merge``, in the order given, and levels
         whose sum is empty are dropped."""
         levels: dict = {}
         for s, h in pairs:
             levels.setdefault(s, []).append(h)
         out = {}
         for s, hs in levels.items():
-            h = hs[0] if len(hs) == 1 else SparseVector.build(
+            h = hs[0] if len(hs) == 1 else SparseVector.merge(
                 kc for x in hs for kc in x.values.items()
             )
             if h.values:
@@ -117,7 +117,7 @@ class Dilation:
         for s in levels[1:]:
             top = fam.s_join(top, s)
         fam.require_level(top)
-        total = SparseVector.build(
+        total = SparseVector.merge(
             kc
             for s, h in v.blocks.items()
             for kc in self.rep.apply_V(fam.s_divide(top, s), h).values.items()
@@ -215,7 +215,7 @@ class Dilation:
         psi_s(m) for m in the level-s transversal, in transversal order."""
         fam = self.family
         w = complex(1.0 / fam.index(s))
-        return SparseVector.build(
+        return SparseVector.merge(
             (k, x * w)
             for n in fam.solve_coset(s, fam.n_identity)
             for k, x in self.rep.apply_Y(n, h).values.items()

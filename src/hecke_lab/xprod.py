@@ -259,7 +259,7 @@ def _translate(f: LocFun, x) -> LocFun:
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:
     """Evaluate a sum of v_s^* i(a) v_t triples as V_s^* pi(a) V_t."""
-    return SparseVector.build(
+    return SparseVector.merge(
         kc
         for s, a, t in triples
         for kc in rep.apply_Vstar(s, apply_algebra(rep, a, rep.apply_V(t, v))).values.items()
@@ -303,7 +303,7 @@ class InducedRep:
                     coeff = complex(val) * weight
                     moved = self.rep.apply_Y(fam.canon(fam.psi_s_inv(tp, c)), h)
                     pairs.extend((k, x * coeff) for k, x in moved.values.items())
-                lifted = self.rep.apply_V(fam.s_mul(level, tp), SparseVector.build(pairs))
+                lifted = self.rep.apply_V(fam.s_mul(level, tp), SparseVector.merge(pairs))
                 out.append((target_s, lifted))
         return DilationVector.build(out)
 

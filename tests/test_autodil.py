@@ -148,6 +148,113 @@ def test_convolve_matches_pointwise_oracle(bc):
                 assert out.eval_at(z) == oracle_convolve_eval(fam, f, g, z, out.level)
 
 
+def qc_route_convolve(f, g):
+    """Convolution as ``QC`` products merged by ``LocFun.build`` at the meet
+    level and refined to the join: the route convolve took before it
+    summed integer numerators, kept as the oracle for values and key
+    order."""
+    fam = f.family
+    m = fam.s_meet(f.level, g.level)
+    w = Fraction(1, fam.index(fam.s_join(f.level, g.level)))
+    pairs = [
+        (key, va * w * vb)
+        for ca, va in f.values.items()
+        for key, vb in zip(fam.translate(ca, g.values, m), g.values.values())
+    ]
+    return LocFun.build(fam, m, pairs).refine(f.common_level(g))
+
+
+def rand_mixed(fam, level, sample, rng, terms):
+    """Complex values whose parts have unrelated denominators."""
+    pairs = [
+        (sample(rng), QC(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 10))))
+        for _ in range(terms)
+    ]
+    return LocFun.build(fam, level, pairs)
+
+
+def test_convolve_matches_qc_route_with_key_order():
+    rng = random.Random(29)
+    for fam, s, t, sample in _meet_cases():
+        levels = (fam.s_identity, s, t, fam.s_meet(s, t))
+        for make in (rand_at, rand_mixed):
+            for _ in range(5):
+                f = make(fam, rng.choice(levels), sample, rng, terms=rng.randint(1, 5))
+                g = make(fam, rng.choice(levels), sample, rng, terms=rng.randint(1, 5))
+                got, want = convolve(f, g), qc_route_convolve(f, g)
+                assert got.level == want.level
+                assert list(got.values.items()) == list(want.values.items())
+
+
+def test_convolve_cell_that_cancels_and_returns(bc):
+    """Key 1/2 gets 1, then -1 (its cell is deleted), then 2 (appended
+    last); key 0 cancels for good."""
+    f = LocFun.build(bc, 1, [(Fraction(0), 1), (Fraction(1, 2), -1), (Fraction(1, 4), 2)])
+    g = LocFun.build(bc, 1, [(Fraction(0), 1), (Fraction(1, 2), 1), (Fraction(1, 4), 1)])
+    got = list(convolve(f, g).values.items())
+    assert got == list(qc_route_convolve(f, g).values.items())
+    assert got == [(Fraction(1, 4), QC.of(3)), (Fraction(3, 4), QC.of(1)), (Fraction(1, 2), QC.of(2))]
+
+
+def two_hash_build(fam, level, pairs):
+    """``LocFun.build``'s merge written as a membership test and a store."""
+    out = {}
+    for n, c in pairs:
+        key = fam.canon(n, level)
+        c = QC.of(c)
+        if key in out:
+            c = out[key] + c
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def test_build_and_add_keep_the_merge_order(bc):
+    x, y = Fraction(1, 2), Fraction(1, 3)
+    pairs = [(x, 1), (x + 1, -1), (y, QC(1, 1)), (x, 2), (y - 2, 1)]
+    got = list(LocFun.build(bc, 1, pairs).values.items())
+    assert got == [(y, QC(2, 1)), (x, QC.of(2))] == list(two_hash_build(bc, 1, pairs).items())
+    rng = random.Random(31)
+    for fam, s, t, sample in _meet_cases():
+        for _ in range(6):
+            level = rng.choice((s, t))
+            f = rand_at(fam, level, sample, rng, terms=4)
+            keys = list(f.values)
+            # Cancel some of f's keys, re-add one, and bring in new ones.
+            pairs = [(k, -f.values[k]) for k in keys[::2]]
+            pairs += [(sample(rng), 1), (keys[0], 3), (sample(rng), QC(0, 1))]
+            g = LocFun.build(fam, level, pairs)
+            assert list(g.values.items()) == list(two_hash_build(fam, level, pairs).items())
+            want = two_hash_build(fam, level, [*f.values.items(), *g.values.items()])
+            assert list((f + g).values.items()) == list(want.items())
+            assert list((f + f).values.items()) == [(k, c * 2) for k, c in f.values.items()]
+
+
+def test_injective_maps_match_build_route():
+    """star, scale and theta_star_inv fill their dicts without ``build``;
+    values and key order must be the ones ``build`` makes."""
+    rng = random.Random(37)
+    for fam, s, t, sample in _meet_cases():
+        for level in (fam.s_identity, s, t):
+            f = rand_mixed(fam, level, sample, rng, terms=5)
+            star = [(fam.n_neg(k), c.conjugate()) for k, c in f.values.items()]
+            assert list(f.star().values.items()) == list(LocFun.build(fam, level, star).values.items())
+            q = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            scaled = [(k, c * q) for k, c in f.values.items()]
+            assert list(f.scale(q).values.items()) == list(LocFun.build(fam, level, scaled).values.items())
+            assert f.scale(0).is_zero() and f.scale(Fraction(0)).is_zero()
+            for u in (s, t) if level == fam.s_identity else (s,):
+                idx = fam.index(u)
+                pulled = [(fam.psi_s_inv(u, k), c * idx) for k, c in f.values.items()]
+                want = LocFun.build(fam, fam.s_mul(level, u), pulled)
+                got = theta_star_inv(u, f)
+                assert got.level == want.level
+                assert list(got.values.items()) == list(want.values.items())
+
+
 def test_convolve_matches_join_route():
     rng = random.Random(17)
     for fam, s, t, sample in _meet_cases():

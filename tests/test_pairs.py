@@ -222,6 +222,20 @@ def test_solve_coset_identity_level(bc, p3, mat):
     assert mat.solve_coset((0, 0), v) == [mat.canon(v)]
 
 
+@pytest.mark.parametrize("fam", [
+    BostConnesFamily(),
+    PadicFamily(3),
+    MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+    MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+], ids=["bost-connes", "padic-3", "diag", "skew-scalar"])
+def test_solve_coset_at_zero_is_the_canonical_psi_image_of_the_transversal(fam):
+    """The subgroup translations of a level-s block: ``solve_coset(s, 0)``
+    lists canon(psi_s(m)) for m in the level-s transversal, in its order."""
+    for s in fam.small_levels(2):
+        want = [fam.canon(fam.psi_s(s, m)) for m in fam.coset_reps(s)]
+        assert list(fam.solve_coset(s, fam.n_identity)) == want
+
+
 # --- canonical forms -----------------------------------------------------------
 
 

@@ -255,6 +255,7 @@ def test_sums_match_pairwise_route_with_cancellations():
         ref = pairwise_sum(vs)
         cancelled += any(k not in ref.values for v in vs for k in v.values)
         _same(SparseVector.build(kc for v in vs for kc in v.values.items()), ref)
+        _same(SparseVector.merge(kc for v in vs for kc in v.values.items()), ref)
         total = SparseVector({})
         for v in vs:
             total = total + v

@@ -644,6 +644,26 @@ def test_matrix_corner_product_at_join_one_one():
     assert recompose(fam, corner_decompose(d)) == d
 
 
+def test_matrix_corner_product_in_adjoint_order():
+    """The adjoint-order product y* x* of the factors above pairs many more
+    keys per convolution; it must equal (x y)* within the same budget."""
+    fam = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+    a = grpalg.GroupAlgebraElement.build(
+        fam, [((F(0), F(0)), QC(F(1), F(-1))), ((F(1, 2), F(1, 3)), F(2, 3))]
+    )
+    b = grpalg.GroupAlgebraElement.build(
+        fam, [((F(1), F(0)), F(3, 2)), ((F(1, 2), F(2, 3)), QC(F(0), F(1)))]
+    )
+    x = compose_corner(fam, (0, 0), a, (1, 1))
+    y = compose_corner(fam, (1, 1), b, (0, 0))
+    ys, xs = y.star(), x.star()
+    start = time.perf_counter()
+    d = ys * xs
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"{elapsed:.2f}s"
+    assert d == (x * y).star()
+
+
 def test_padic_module_pairing_at_levels_three_and_zero():
     fam = PadicFamily(3)
     a = grpalg.GroupAlgebraElement.build(fam, [(F(1, 3), QC(F(1), F(-1))), (F(2), F(2, 3))])
