@@ -4,6 +4,13 @@ The matrix family reduces modulo sublattices A*Z^d.  A column-style Hermite
 normal form H (lower triangular, positive diagonal, H*Z^d = A*Z^d) turns the
 quotient Z^d / A*Z^d into the box  prod_i [0, h_ii),  which gives canonical
 representatives and an exact count equal to |det A|.
+
+Reduction works on batches in column layout: d lists of integers, list i
+holding coordinate i of every vector in the batch.  ``hnf_reduce_columns``
+subtracts integer multiples of the HNF's columns top row first, as in the
+reduction modulo an HNF basis of Cohen, GTM 138, section 2.4.  Each
+coordinate costs one list comprehension over the batch, plus one per
+nonzero entry below the diagonal of H.  ``hnf_reduce`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -138,34 +145,47 @@ def in_hnf_box(h, v) -> bool:
 def hnf_reduce(h, v):
     """Canonical representative of a rational vector modulo the HNF lattice.
 
-    Subtracts integer multiples of the columns of `h` top row first, landing
-    coordinate i in [0, h[i][i]): ``hnf_reduce_int`` on the numerators of v
-    over their common denominator.  Exact.  Canonical input, a
-    tuple of Fractions already in the box, is returned unchanged (the same
-    object); any other input comes back as a new tuple of Fractions.
+    ``hnf_reduce_columns`` on a batch of one: the numerators of v over their
+    common denominator, reduced by h scaled by it.  Exact.  Canonical
+    input, a tuple of Fractions already in the box, is returned unchanged
+    (the same object); any other input comes back as a new tuple of
+    Fractions.
     """
     if in_hnf_box(h, v):
         return v
     x = [Fraction(c) for c in v]
     den = math.lcm(*(c.denominator for c in x))
     scaled = [[den * c for c in row] for row in h]
-    y = hnf_reduce_int(scaled, [c.numerator * (den // c.denominator) for c in x])
-    return tuple(Fraction(c, den) for c in y)
+    cols = hnf_reduce_columns(scaled, [[c.numerator * (den // c.denominator)] for c in x])
+    return tuple(Fraction(col[0], den) for col in cols)
 
 
-def hnf_reduce_int(h, y):
-    """The box representative of the integer vector y modulo the lattice
-    of h, as a new list of ints: y/den modulo the lattice of h/den, for any
-    den, in numerators over den."""
-    y = list(y)
-    n = len(y)
+def hnf_reduce_columns(h, cols):
+    """The box representatives of a batch of integer vectors modulo the
+    lattice of h, in column layout: cols[i] lists coordinate i of every
+    vector, and the result is a new list of d such lists, the vectors in
+    the same order.  The input lists are not changed.  In numerators over
+    den, this reduces y/den modulo the lattice of h/den, for any den.
+
+    Coordinates are done top row first, each in one step: coordinate i is
+    taken mod h_ii, and its floor quotients q = y_i // h_ii take q*h_ri off
+    coordinate r for each r > i with h_ri nonzero.  A coordinate whose
+    entries all lie in [0, h_ii) has every quotient zero and is skipped.
+    """
+    cols = list(cols)
+    n = len(cols)
     for i in range(n):
-        q = y[i] // h[i][i]
-        if q:
-            for r in range(i, n):
-                if h[r][i]:
-                    y[r] -= q * h[r][i]
-    return y
+        col = cols[i]
+        d = h[i][i]
+        if not col or (min(col) >= 0 and max(col) < d):
+            continue
+        below = [(r, h[r][i]) for r in range(i + 1, n) if h[r][i]]
+        if below:
+            qs = [c // d for c in col]
+            for r, hr in below:
+                cols[r] = [c - q * hr for c, q in zip(cols[r], qs)]
+        cols[i] = [c % d for c in col]
+    return cols
 
 
 def hnf_box_count(h) -> int:
@@ -178,8 +198,8 @@ def hnf_box_count(h) -> int:
 def iter_hnf_box(h):
     """Canonical integer representatives of Z^d modulo the HNF lattice.
 
-    Yields exactly hnf_box_count(h) vectors.  Box vectors are fixed points
-    of hnf_reduce: the reduction loop walks coordinates top-down and each
+    Yields exactly hnf_box_count(h) tuples of ints.  Box vectors are fixed
+    points of the reduction: it walks coordinates top-down and each
     quotient against the positive diagonal vanishes on [0, h_ii).
     """
     n = len(h)

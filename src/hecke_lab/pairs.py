@@ -19,10 +19,11 @@ Coset translation runs on integers.  Keys stay Fractions (tuples of them
 for ``matrix``) at the API, but ``solve_coset`` and ``translate`` write
 their inputs as integer numerators over one denominator and build each
 output Fraction from its integer code, instead of adding and reducing
-Fractions per coset.  The scalar families build one Fraction per key;
-``matrix`` reads each coordinate from a per-family table of Fractions by
-code, so a repeated coordinate is built once and is the same object
-wherever it recurs:
+Fractions per coset.  The scalar families build one Fraction per key.
+``matrix`` handles a whole batch of keys in column layout, one list of
+numerators per coordinate, and reads each coordinate from a per-family
+table of Fractions for its denominator, so a repeated coordinate is built
+once and is the same object wherever it recurs:
 
 * ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
   at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
@@ -31,10 +32,12 @@ wherever it recurs:
 * ``solve_coset(s, n, a)`` for ``matrix``, with n = v/q and D = index(s):
   the numerators over L = q*D of the solutions are adj(A_s)(v + q*A_a m)
   for m in the level-s transversal, where A_s = F^s0 M^s1 and
-  adj(A_s) = D*A_s^-1.  They are reduced by the integer HNF of A_a scaled
-  by L, which at the identity level is a mod L per coordinate.
+  adj(A_s) = D*A_s^-1.  They are reduced together, column by column, by
+  the integer HNF of A_a scaled by L, which at the identity level is a
+  mod L per coordinate.
 * ``translate(x, keys, a)`` writes x and the keys over their common
-  denominator and makes one integer add and one reduction per coordinate.
+  denominator and makes one integer add and one reduction per coordinate;
+  for ``matrix`` the reduction again runs on the whole batch of keys.
 
 ``psi_reps`` with ``n_add`` and ``canon`` is the Fraction route that the
 tests compare these against.
@@ -54,7 +57,7 @@ from .lattice import (
     hermite_normal_form,
     hnf_box_count,
     hnf_reduce,
-    hnf_reduce_int,
+    hnf_reduce_columns,
     in_hnf_box,
     int_det,
     iter_hnf_box,
@@ -256,9 +259,13 @@ class PairFamily:
         solutions are (p + k*q*index(a)) / (q*index(s)) for k in
         range(index(s)), already in [0, index(a)) and so canonical without
         reduction.  For ``matrix``, with n = v/q, the solutions' numerators
-        over L = q*index(s) are adj(A_s)(v + q*A_a m), reduced by the HNF
-        of A_a scaled by L (a mod L per coordinate at the identity level).  The Fraction route through ``psi_reps`` is the
-        reference the tests compare against.
+        over L = q*index(s) are adj(A_s)(v + q*A_a m).  They are built as
+        one batch in column layout, coordinate i of every solution in one
+        list, and reduced together by the HNF of A_a scaled by L, which at
+        the identity level is a mod L per coordinate.
+
+        The Fraction route through ``psi_reps`` is the reference the tests
+        compare against.
         """
         count = self._enumerable_index(s)
         return self._solve(s, self.canon(n, level), level, count)
@@ -274,9 +281,10 @@ class PairFamily:
 
         In integers: x and the keys are written over their common
         denominator L, and each output coordinate is one integer add and
-        one reduction, mod index(a)*L for the scalar families and by the
-        HNF of A_a scaled by L for ``matrix`` (a plain mod per coordinate
-        when that HNF is diagonal)."""
+        one reduction.  The scalar families reduce mod index(a)*L.
+        ``matrix`` adds x to the keys one coordinate at a time, as columns
+        of numerators, and reduces the batch by the HNF of A_a scaled by L,
+        a plain mod per coordinate when that HNF is diagonal."""
         raise NotImplementedError
 
     # -- caps ----------------------------------------------------------------
@@ -610,6 +618,20 @@ def _reduce_mod(n, mod):
     return n % mod
 
 
+class _FractionTable(dict):
+    """{c: Fraction(c, den)} for one denominator den, filled on a miss."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, c):
+        x = self[c] = Fraction(c, self.den)
+        return x
+
+
 def _int_matrix(rows):
     """A copy of a matrix given as a list of lists of integers."""
     if not isinstance(rows, (list, tuple)) or not all(
@@ -744,46 +766,45 @@ class MatrixFamily(PairFamily):
             return tuple(x % 1 for x in n)
         return hnf_reduce(h, n)
 
-    def _decode(self, level, den, codes):
-        """canon(y/den, level) as a tuple of Fractions, for each list y of
-        integer numerators over den in codes: a reduction by the level's
-        HNF scaled by den.
+    def _decode(self, level, den, cols):
+        """canon(y/den, level) as tuples of Fractions, one key per vector y
+        of the batch cols: integer numerators over den in column layout,
+        cols[i] listing coordinate i of every vector.  The batch is reduced
+        by the level's HNF scaled by den in ``hnf_reduce_columns``, and the
+        keys come out in the batch's order.
 
-        Each coordinate c/den is read from ``_fraction_cache``, keyed by the
-        integer code (c, den), and built there on first use.  A repeated
-        code then builds no Fraction, and equal coordinates from one den are
-        one object, which dict lookups and ``==`` on keys match by identity
-        before calling ``Fraction.__eq__``.  The fill is idempotent: a racing
-        second fill stores an equal Fraction, which costs only the sharing.
-        Coordinates repeat across keys, so the table stays small: 27,000
+        Each coordinate c/den is read through ``map`` from the table for
+        den in ``_fraction_cache``, a ``_FractionTable`` that builds
+        Fraction(c, den) on first use, and ``zip`` puts the columns
+        together into keys.  A repeated code then builds no Fraction, and
+        equal coordinates from one den are one object, which dict lookups
+        and ``==`` on keys match by identity before calling
+        ``Fraction.__eq__``.  The fill is idempotent: a racing second fill
+        stores an equal Fraction, which costs only the sharing.
+        Coordinates repeat across keys, so the tables stay small: 27,000
         keys of a level-(3, 3) ``alpha`` share about a thousand codes.  The
         scalar families keep no such table, because each of their keys is
         one Fraction: the table would keep every key alive."""
         h = self._unit if level is None else self._hnf(level)
         scaled = [[den * x for x in row] for row in h]
-        table = self._fraction_cache
-        out = []
-        for y in codes:
-            key = []
-            for c in hnf_reduce_int(scaled, y):
-                x = table.get((c, den))
-                if x is None:
-                    x = table[c, den] = Fraction(c, den)
-                key.append(x)
-            out.append(tuple(key))
-        return out
+        table = self._fraction_cache.get(den)
+        if table is None:
+            table = self._fraction_cache[den] = _FractionTable(den)
+        read = table.__getitem__
+        return list(zip(*[map(read, col) for col in hnf_reduce_columns(scaled, cols)]))
 
     def _solve_shifts(self, s, level):
         """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
-        for m in the level-s transversal, cached per (s, a)."""
+        for m in the level-s transversal, in column layout, cached per
+        (s, a)."""
         key = (s, level)
         cached = self._solve_cache.get(key)
         if cached is None:
             D = self.index(s)
             adj = [[int(x * D) for x in row] for row in self._matrix_power((-s[0], -s[1]))]
             lift = adj if level is None else mat_mul(adj, self._matrix_power(level))
-            shifts = [mat_vec(lift, [int(c) for c in m]) for m in self.iter_coset_reps(s)]
-            cached = self._solve_cache[key] = (adj, shifts)
+            shifts = [mat_vec(lift, m) for m in iter_hnf_box(self._hnf(s))]
+            cached = self._solve_cache[key] = (adj, [list(col) for col in zip(*shifts)])
         return cached
 
     def _solve(self, s, n, level, count):
@@ -791,14 +812,17 @@ class MatrixFamily(PairFamily):
         q = math.lcm(*(x.denominator for x in n))
         v = [x.numerator * (q // x.denominator) for x in n]
         base = [sum(a * b for a, b in zip(row, v)) for row in adj]
-        codes = ([b + q * c for b, c in zip(base, sh)] for sh in shifts)
-        return self._decode(level, q * count, codes)
+        cols = [[b + q * c for c in col] for b, col in zip(base, shifts)]
+        return self._decode(level, q * count, cols)
 
     def translate(self, x, keys, level=None):
         den = math.lcm(*(c.denominator for c in x), *(c.denominator for k in keys for c in k))
         shift = [c.numerator * (den // c.denominator) for c in x]
-        codes = ([c.numerator * (den // c.denominator) + t for c, t in zip(k, shift)] for k in keys)
-        return self._decode(level, den, codes)
+        cols = [
+            [c.numerator * (den // c.denominator) + t for c in col]
+            for col, t in zip(zip(*keys), shift)
+        ]
+        return self._decode(level, den, cols)
 
     def index(self, s) -> int:
         self.validate_s(s)

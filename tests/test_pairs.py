@@ -15,6 +15,7 @@ from hecke_lab.errors import ConfigError, LevelCapError
 from hecke_lab.lattice import (
     hermite_normal_form,
     hnf_reduce,
+    hnf_reduce_columns,
     int_det,
     mat_inv,
     mat_mul,
@@ -329,6 +330,62 @@ def test_canonical_idempotent_matrix(case):
     assert again == got and [type(x) for x in again] == [type(x) for x in got]
 
 
+@st.composite
+def column_batches(draw):
+    """A 2x2 or 3x3 lower-triangular HNF with at least one nonzero entry
+    below the diagonal, and a batch of integer vectors in column layout:
+    negative, large, and on either side of the box bounds."""
+    dim = draw(st.sampled_from([2, 3]))
+    diag = [draw(st.integers(1, 12)) for _ in range(dim)]
+    h = [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for r in range(1, dim):
+        for i in range(r):
+            h[r][i] = draw(st.integers(0, diag[r] - 1))
+    below = [(r, i) for r in range(1, dim) for i in range(r)]
+    r, i = draw(st.sampled_from(below))
+    h[r][i] = h[r][i] or draw(st.integers(1, max(1, diag[r] - 1)))
+    size = draw(st.integers(0, 12))
+
+    def entries(d):
+        return st.one_of(
+            st.integers(-10**30, 10**30),
+            st.integers(-3 * d, 3 * d),
+            st.sampled_from([0, -1, d, d - 1]),
+        )
+
+    cols = [draw(st.lists(entries(d), min_size=size, max_size=size)) for d in diag]
+    return h, cols
+
+
+def _lattice_coordinates(h, v):
+    """z with h z = v, by forward substitution over Q: h is lower triangular."""
+    z = []
+    for i, row in enumerate(h):
+        z.append(Fraction(v[i] - sum(row[k] * z[k] for k in range(i)), row[i]))
+    return z
+
+
+@given(column_batches(), st.integers(1, 6))
+@settings(max_examples=300, derandomize=True)
+def test_hnf_reduce_columns_lands_in_box_by_lattice_steps(case, den):
+    """Each output vector lies in the box prod [0, h_ii), and its difference
+    from the input vector is an integer combination of the columns of h,
+    checked by an exact triangular solve; a batch of one equals
+    hnf_reduce on the vector over any denominator."""
+    h, cols = case
+    before = [list(col) for col in cols]
+    out = hnf_reduce_columns(h, cols)
+    assert cols == before and len(out) == len(h)
+    assert all(len(col) == len(cols[0]) for col in out)
+    for y, r in zip(zip(*cols), zip(*out)):
+        assert all(0 <= r[i] < h[i][i] for i in range(len(h)))
+        z = _lattice_coordinates(h, [a - b for a, b in zip(y, r)])
+        assert all(c.denominator == 1 for c in z)
+        scaled = [[den * x for x in row] for row in h]
+        one = hnf_reduce_columns(scaled, [[c] for c in y])
+        assert hnf_reduce(h, tuple(Fraction(c, den) for c in y)) == tuple(Fraction(col[0], den) for col in one)
+
+
 # --- semidirect product ---------------------------------------------------------
 
 
@@ -600,11 +657,13 @@ def test_matrix_keys_share_one_fraction_per_code(F, M):
 
 
 def test_fraction_table_holds_far_fewer_entries_than_keys():
-    """The table is keyed by coordinate code, not by key: 27,000 keys of a
-    level-(3, 3) alpha share about a thousand Fractions, so it costs far
-    less memory than the keys themselves."""
+    """The tables are keyed by coordinate code, not by key: 27,000 keys of
+    a level-(3, 3) alpha share about a thousand Fractions, counted over
+    the per-denominator tables, so they cost far less memory than the keys
+    themselves."""
     fam = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
     n = fam.canon(fam.psi_s((1, 1), (Fraction(1), Fraction(2))))
     out = grpalg.alpha((3, 3), grpalg.delta(fam, n))
     assert len(out.values) == fam.index((3, 3)) == 27_000
-    assert 0 < len(fam._fraction_cache) < 2_700
+    codes = sum(len(table) for table in fam._fraction_cache.values())
+    assert 0 < codes < 2_700
