@@ -539,6 +539,9 @@ def check_average_projection(ctx: Ctx):
 
 
 def check_inner_ore_independence(ctx: Ctx):
+    """<V_u h, V_v k> at the least pair u*s = v*t against the same form at
+    r*u, r*v, both by lifting, and against ``Dilation.inner``, which takes
+    the adjoint route <V_v* h, V_u* k>: two independent routes."""
     dil = ctx.dilation()
     fam = ctx.family
     rep = ctx.rep()

@@ -5,7 +5,8 @@ stands for U_s* h, where h lives in the original carrier and U is the
 dilating unitary group.  All structure is Ore-reduced back onto the
 original representation:
 
-* inner:   <(s,h), (t,k)> = <V_u h, V_v k>  with u*s = v*t the least pair;
+* inner:   <(s,h), (t,k)> = <V_u h, V_v k> = <V_v* h, V_u* k>  with u*s = v*t
+           the least pair, for which V_v* V_u = V_u V_v* (see ``repspace``);
 * U_r:     (s,h) -> (a, V_b h)  with (a,b) the least pair for a*r = b*s;
 * U_r*:    (s,h) -> (s*r, h);
 * W_n:     (s,h) -> (s, Y_[psi_s(n)] h).
@@ -17,7 +18,6 @@ vector as (s, h).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -89,17 +89,20 @@ class Dilation:
         return DilationVector.symbol(self.family.s_identity, h)
 
     def inner(self, v: DilationVector, w: DilationVector) -> complex:
-        return self._inner(v, w, self.rep.apply_V)
+        return self._inner(v, w, self.rep.apply_Vstar)
 
-    def _inner(self, v: DilationVector, w: DilationVector, lift) -> complex:
-        """The form, with ``lift(u, h)`` = V_u h."""
+    def _inner(self, v: DilationVector, w: DilationVector, adjoint) -> complex:
+        """The form, with ``adjoint(u, h)`` = V_u* h: each pair of blocks
+        gives <V_u h, V_v k> = <V_v* h, V_u* k> for the least pair
+        u*s = v*t, so no vector is lifted to the join level, whose cap is
+        still enforced."""
         fam = self.family
         total = 0j
         for s, h in v.blocks.items():
             for t, k in w.blocks.items():
                 u, vv = fam.ore_pair(s, t)
                 fam.require_level(fam.s_mul(u, s))
-                total += lift(u, h).inner(lift(vv, k))
+                total += adjoint(vv, h).inner(adjoint(u, k))
         return total
 
     def raise_blocks(self, v: DilationVector) -> DilationVector:
@@ -140,22 +143,22 @@ class Dilation:
         return self.norm(v - w)
 
     def gram(self, vectors) -> np.ndarray:
-        """The matrix of ``inner`` over vectors; each V_u h is computed once
-        per call, not once per pair."""
-        lifted = {}
+        """The matrix of ``inner`` over vectors; each V_u* h is computed
+        once per call, not once per pair."""
+        adjoints = {}
 
-        def lift(u, h):
+        def adjoint(u, h):
             key = (u, id(h))
-            out = lifted.get(key)
+            out = adjoints.get(key)
             if out is None:
-                out = lifted[key] = self.rep.apply_V(u, h)
+                out = adjoints[key] = self.rep.apply_Vstar(u, h)
             return out
 
         n = len(vectors)
         g = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(i, n):
-                val = self._inner(vectors[i], vectors[j], lift)
+                val = self._inner(vectors[i], vectors[j], adjoint)
                 g[i, j] = val
                 g[j, i] = val.conjugate() if i != j else val
         return g
@@ -210,16 +213,10 @@ class Dilation:
 
     def project_block(self, s, h: SparseVector) -> SparseVector:
         """Carrier of the projection of the block (s, h) onto the fixed
-        space of the subgroup unitaries: the average of the index(s)
-        translations of h by ``solve_coset(s, 0)``, the canonical
-        psi_s(m) for m in the level-s transversal, in transversal order."""
-        fam = self.family
-        w = complex(1.0 / fam.index(s))
-        return SparseVector.merge(
-            (k, x * w)
-            for n in fam.solve_coset(s, fam.n_identity)
-            for k, x in self.rep.apply_Y(n, h).values.items()
-        )
+        space of the subgroup unitaries: the average of the translations
+        of h by ``solve_coset(s, 0)``, which covariance at n = 0 makes
+        V_s V_s* h."""
+        return self.rep.apply_V(s, self.rep.apply_Vstar(s, h))
 
     def project_fixed(self, v: DilationVector) -> DilationVector:
         return DilationVector.build((s, self.project_block(s, h)) for s, h in v.blocks.items())

@@ -16,10 +16,10 @@ which is a lattice order for all three families, so Ore pairs are computed
 from deterministic least upper bounds.
 
 Coset translation runs on integers.  Keys stay Fractions (tuples of them
-for ``matrix``) at the API, but ``solve_coset`` and ``translate`` write
-their inputs as integer numerators over one denominator and build each
-output Fraction from its integer code, instead of adding and reducing
-Fractions per coset.  The scalar families build one Fraction per key.
+for ``matrix``) at the API, but ``solve_coset``, ``translate`` and
+``psi_inv_keys`` write their inputs as integer numerators over one
+denominator and build each output Fraction from its integer code, instead
+of adding and reducing Fractions per coset.  The scalar families build one Fraction per key.
 ``matrix`` handles a whole batch of keys in column layout, one list of
 numerators per coordinate, and reads each coordinate from a per-family
 table of Fractions for its denominator, so a repeated coordinate is built
@@ -38,9 +38,12 @@ once and is the same object wherever it recurs:
 * ``translate(x, keys, a)`` writes x and the keys over their common
   denominator and makes one integer add and one reduction per coordinate;
   for ``matrix`` the reduction again runs on the whole batch of keys.
+* ``psi_inv_keys(s, keys, a)`` multiplies the keys' numerators by
+  index(s) for the scalar families, by A_s for ``matrix``, and reduces
+  as ``translate`` does.
 
-``psi_reps`` with ``n_add`` and ``canon`` is the Fraction route that the
-tests compare these against.
+``psi_reps`` with ``n_add`` and ``canon``, and ``psi_s_inv`` with
+``canon``, are the Fraction routes that the tests compare these against.
 """
 
 from __future__ import annotations
@@ -287,6 +290,18 @@ class PairFamily:
         a plain mod per coordinate when that HNF is diagonal."""
         raise NotImplementedError
 
+    def psi_inv_keys(self, s, keys, level=None):
+        """[canon(psi_s_inv(s, k), level) for k in keys], in the order of
+        keys, always as Fractions (tuples of them for ``matrix``).
+
+        In integers: psi_s^-1 multiplies by index(s) in the scalar
+        families, so k = p/q goes to (p*index(s) mod index(a)*q) / q.
+        ``matrix`` writes the keys over their common denominator L as
+        columns of numerators, multiplies them by the integer matrix A_s
+        and reduces the batch by the HNF of A_a scaled by L, as
+        ``translate`` does."""
+        raise NotImplementedError
+
     # -- caps ----------------------------------------------------------------
 
     def require_level(self, s):
@@ -428,6 +443,12 @@ class _RationalFamily(PairFamily):
         return [
             Fraction((k.numerator * (den // d) + shift) % wrap, den)
             for k, d in zip(keys, dens)
+        ]
+
+    def psi_inv_keys(self, s, keys, level=None):
+        scale, wrap = self.index(s), self._modulus(level)
+        return [
+            Fraction(k.numerator * scale % (wrap * k.denominator), k.denominator) for k in keys
         ]
 
     def random_M(self, rng):
@@ -674,6 +695,7 @@ class MatrixFamily(PairFamily):
         self._hnf_cache = {}
         self._solve_cache = {}
         self._fraction_cache = {}
+        self._scaled_hnf_cache = {}
         # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
         self._unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         self._transpose = None
@@ -771,7 +793,8 @@ class MatrixFamily(PairFamily):
         of the batch cols: integer numerators over den in column layout,
         cols[i] listing coordinate i of every vector.  The batch is reduced
         by the level's HNF scaled by den in ``hnf_reduce_columns``, and the
-        keys come out in the batch's order.
+        keys come out in the batch's order.  The scaled HNF is cached per
+        (level, den) in ``_scaled_hnf_cache``.
 
         Each coordinate c/den is read through ``map`` from the table for
         den in ``_fraction_cache``, a ``_FractionTable`` that builds
@@ -785,8 +808,10 @@ class MatrixFamily(PairFamily):
         keys of a level-(3, 3) ``alpha`` share about a thousand codes.  The
         scalar families keep no such table, because each of their keys is
         one Fraction: the table would keep every key alive."""
-        h = self._unit if level is None else self._hnf(level)
-        scaled = [[den * x for x in row] for row in h]
+        scaled = self._scaled_hnf_cache.get((level, den))
+        if scaled is None:
+            h = self._unit if level is None else self._hnf(level)
+            scaled = self._scaled_hnf_cache[level, den] = [[den * x for x in row] for row in h]
         table = self._fraction_cache.get(den)
         if table is None:
             table = self._fraction_cache[den] = _FractionTable(den)
@@ -823,6 +848,24 @@ class MatrixFamily(PairFamily):
             for col, t in zip(zip(*keys), shift)
         ]
         return self._decode(level, den, cols)
+
+    def psi_inv_keys(self, s, keys, level=None):
+        self.validate_s(s)
+        coords = list(zip(*keys))
+        if not coords:
+            return []
+        den = math.lcm(*(c.denominator for col in coords for c in col))
+        cols = [[c.numerator * (den // c.denominator) for c in col] for col in coords]
+        image = []
+        for row in self._matrix_power(s):
+            acc = None
+            for a, col in zip(row, cols):
+                if a:
+                    acc = [a * c for c in col] if acc is None else [
+                        x + a * c for x, c in zip(acc, col)
+                    ]
+            image.append(acc)
+        return self._decode(level, den, image)
 
     def index(self, s) -> int:
         self.validate_s(s)

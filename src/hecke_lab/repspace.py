@@ -22,6 +22,27 @@ average of the Y_m V_s over the index(s) solutions m = psi_s(n + k),
 k in M, of psi_s^-1(m) = n modulo M.  At n = 0 an average of isometries
 equals the isometry V_s, which forces each Y_(psi_s(k)) V_s to equal V_s;
 so every term of the average is Y_(psi_s(n)) V_s.
+
+Every covariant pair is also Nica covariant: V_u* V_v = V_v V_u* for the
+least pair (u, v) of an Ore equation u*s = v*t.  Such u and v have the
+identity as greatest common S-divisor (``s_meet``), so their least common
+multiple ``s_join`` is u*v.
+
+* At n = 0 covariance reads V_u V_u* = P_u, the average of the Y_m over m
+  in psi_u(M) modulo M.
+* The level groups form a lattice: psi_u(M) + psi_v(M) = psi_(u*v)(M).
+  For ``matrix``, multiply by A_(u*v): A_v Z^d + A_u Z^d = Z^d by the
+  coprime-determinant argument that ``MatrixFamily.s_meet`` cites.
+* An average over one finite group of cosets times an average over
+  another is the average over their sum, so P_u P_v = P_(u*v).
+
+Then, with V_u* V_(u*v) = V_v and V_(u*v)* V_v = V_u*,
+
+    V_u* V_v = V_u* P_u P_v V_v = V_u* V_(u*v) V_(u*v)* V_v = V_v V_u*.
+
+Hence <V_u h, V_v k> = <V_v* V_u h, k> = <V_v* h, V_u* k>, the form that
+``dilate.Dilation`` computes, and V_s V_s* h = P_s h is its fixed-space
+projection of a block (s, h).
 """
 
 from __future__ import annotations
@@ -173,11 +194,12 @@ def regular_covariant(
 
     def apply_Vstar(s, v: SparseVector) -> SparseVector:
         """Many-to-one: the index(s) keys of one ``solve_coset`` set all go
-        to the same key, so their values are summed by ``merge``."""
+        to the same key, so their values are summed by ``merge``.  The
+        keys are moved as one ``psi_inv_keys`` batch."""
         family.validate_s(s)
         w = 1.0 / math.sqrt(family.index(s))
         return SparseVector.merge(
-            (family.canon(family.psi_s_inv(s, k)), c * w) for k, c in v.values.items()
+            zip(family.psi_inv_keys(s, v.values), [c * w for c in v.values.values()])
         )
 
     rep = CovariantRep(family, apply_Y, apply_V, apply_Vstar)

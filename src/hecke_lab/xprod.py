@@ -285,7 +285,8 @@ class InducedRep:
         f'(c) Y[psi_t'^-1(c)] h) of the module docstring, with f' the
         level-l function ``inner`` = beta_s'(f).  The module docstring's
         invariance argument drops the averaging factor beta_t'(p): each
-        cell's vector is fixed by the translates it averages over.  h is
+        cell's vector is fixed by the translates it averages over.  The
+        cells psi_t'^-1(c) come from one ``psi_inv_keys`` batch, and h is
         translated once per cell and lifted once."""
         fam = self.family
         out = []
@@ -299,9 +300,10 @@ class InducedRep:
                 target_s = fam.s_mul(level, sp)
                 fam.require_level(target_s)
                 pairs = []
-                for c, val in inner.values.items():
+                cells = fam.psi_inv_keys(tp, inner.values)
+                for n, val in zip(cells, inner.values.values()):
                     coeff = complex(val) * weight
-                    moved = self.rep.apply_Y(fam.canon(fam.psi_s_inv(tp, c)), h)
+                    moved = self.rep.apply_Y(n, h)
                     pairs.extend((k, x * coeff) for k, x in moved.values.items())
                 lifted = self.rep.apply_V(fam.s_mul(level, tp), SparseVector.merge(pairs))
                 out.append((target_s, lifted))

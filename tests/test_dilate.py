@@ -12,10 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_lab.pairs import BostConnesFamily, PadicFamily
+from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import dilate
 from hecke_lab.dilate import Dilation, DilationVector, restrict_compress
-from hecke_lab.repspace import SparseVector, random_vector, regular_covariant
+from hecke_lab.repspace import (
+    SparseVector,
+    direct_sum,
+    inclusion_intertwiner,
+    random_vector,
+    regular_covariant,
+)
 from test_repspace import _cancelling_vectors, pairwise_sum
 
 TOL = 1e-9
@@ -69,6 +75,45 @@ def test_inner_ore_independence(dil, rep, bc):
         alt = rep.apply_V(r * u, h).inner(rep.apply_V(r * v, k))
         assert abs(base - alt) < TOL
         assert abs(dil.inner(sym(s, h), sym(t, k)) - base) < TOL
+
+
+FORM_FAMILIES = [
+    BostConnesFamily(),
+    PadicFamily(3),
+    MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+    MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+]
+
+
+@pytest.mark.parametrize("summed", [False, True], ids=["regular", "direct-sum"])
+@pytest.mark.parametrize("fam", FORM_FAMILIES, ids=["bost-connes", "padic3", "diag", "7I"])
+def test_inner_equals_lift_route(fam, summed):
+    """inner takes <V_v* h, V_u* k> for the least pair u*s = v*t; lifting
+    both vectors, <V_u h, V_v k>, is the independent route it replaced."""
+    rep = regular_covariant(fam)
+    if summed:
+        rep = direct_sum(rep, rep)
+    dil = Dilation(rep)
+    rng = random.Random(97)
+
+    def vector():
+        h = random_vector(fam, rng)
+        if summed:
+            h = inclusion_intertwiner("a")(h) + inclusion_intertwiner("b")(random_vector(fam, rng))
+        return h
+
+    levels = fam.sample_levels()
+    for _ in range(12):
+        v, w = (
+            DilationVector.build((s, vector()) for s in rng.sample(levels, rng.randint(1, 2)))
+            for _ in range(2)
+        )
+        want = 0j
+        for s, h in v.blocks.items():
+            for t, k in w.blocks.items():
+                u, vv = fam.ore_pair(s, t)
+                want += rep.apply_V(u, h).inner(rep.apply_V(vv, k))
+        assert abs(dil.inner(v, w) - want) < 1e-12
 
 
 def test_identification_collapses(dil, rep, bc):
@@ -283,6 +328,10 @@ def test_dilation_sums_match_pairwise_route():
 
 
 def test_projection_and_raising_match_pairwise_route(dil, rep, bc):
+    """The projection, computed as V_s V_s* h, has the key set of the
+    pairwise average of the translations of h by psi_s(M) and its values
+    to 1e-12: the two routes sum the same terms in a different order and
+    scaling.  Raising blocks matches its pairwise sum exactly."""
     rng = random.Random(73)
     for _ in range(20):
         v = DilationVector.build(
@@ -295,7 +344,11 @@ def test_projection_and_raising_match_pairwise_route(dil, rep, bc):
             ))
             for s, h in v.blocks.items()
         )
-        _same_blocks(dil.project_fixed(v), ref)
+        got = dil.project_fixed(v)
+        assert set(got.blocks) == set(ref.blocks)
+        for s, h in ref.blocks.items():
+            assert set(got.blocks[s].values) == set(h.values)
+            assert all(abs(got.blocks[s].values[k] - x) < 1e-12 for k, x in h.values.items())
         raised = dil.raise_blocks(v)
         if len(v.blocks) > 1:
             (top, h), = raised.blocks.items()
@@ -304,7 +357,7 @@ def test_projection_and_raising_match_pairwise_route(dil, rep, bc):
 
 
 def test_gram_equals_pairwise_inner(dil, bc):
-    """gram shares each V_u h across the pairs of one call; its entries
+    """gram shares each V_u* h across the pairs of one call; its entries
     must still equal ``inner`` exactly."""
     rng = random.Random(79)
     vecs = [

@@ -667,3 +667,20 @@ def test_fraction_table_holds_far_fewer_entries_than_keys():
     assert len(out.values) == fam.index((3, 3)) == 27_000
     codes = sum(len(table) for table in fam._fraction_cache.values())
     assert 0 < codes < 2_700
+
+
+@given(oracle_cases(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_psi_inv_keys_matches_fraction_route(case, data):
+    """psi_inv_keys equals canon(psi_s_inv(s, k), level) key by key, in
+    order, at the identity level and deeper ones, codes every output
+    coordinate as a Fraction and returns keys canonical at the level; an
+    empty batch gives an empty list."""
+    fam, s, level, _ = case
+    levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
+    keys = data.draw(st.lists(n_elements(fam, levels), max_size=8))
+    want = [fam.canon(fam.psi_s_inv(s, k), level) for k in keys]
+    got = fam.psi_inv_keys(s, keys, level)
+    assert got == want and _fraction_coded(fam, got)
+    assert [fam.canon(k, level) for k in got] == got
+    assert fam.psi_inv_keys(s, [], level) == []
