@@ -697,6 +697,9 @@ def check_p_v_identities(ctx: Ctx):
 
 
 def check_corner_decompose(ctx: Ctx):
+    """Two independent routes to v_s^* i(a) v_t: d is multiplied out by
+    its definition, isom_v(s).star() * i(a) * isom_v(t), and is read off by
+    ``corner_decompose`` and rebuilt with ``compose_corner``'s closed form."""
     fam = ctx.family
     p = xprod.projection_p(fam)
     triples = xprod.corner_decompose(p)
@@ -710,7 +713,7 @@ def check_corner_decompose(ctx: Ctx):
         t = ctx.rng.choice(ctx.small_s()[:3])
         a = _random_algebra_element(ctx, terms=2)
         try:
-            d = xprod.compose_corner(fam, s, a, t)
+            d = xprod.isom_v(fam, s).star() * xprod.embed_algebra(a) * xprod.isom_v(fam, t)
             rebuilt = xprod.CrossedElement(fam, {})
             for s2, a2, t2 in xprod.corner_decompose(d):
                 rebuilt = rebuilt + xprod.compose_corner(fam, s2, a2, t2)

@@ -12,20 +12,41 @@ where beta is the rescaled action on functions.  The projection p is the
 indicator of the compact subgroup; v_s = u_s p gives the isometries of the
 corner copy of the semigroup crossed product.
 
+Corner elements have a closed form.  For g = s^-1 t and (s', t') =
+``g_reduce(g)``,
+
+    v_s^* i(delta_n) v_t = index(t')^-1 1[psi_s^-1(n) + psi_t'(M)] u_g,
+
+one term, whose function is the identity-level indicator of the index(t')
+M-cosets in psi_s^-1(n) + psi_t'(M) (psi_t'(M) contains M).  With
+beta_g(1_A) = Delta(g) 1[psi_g(A)], Delta(s) = index(s)^-1, the product is
+p beta_(s^-1)(i(delta_n)) beta_g(p) u_g, and the cylinder identity of
+``autodil.convolve`` evaluates it in two lines:
+
+* p * index(s) 1[psi_s^-1(n) + psi_s^-1(M)] = 1[psi_s^-1(n) + M], since
+  M meets psi_s^-1(M) in psi_s^-1(M), of mass index(s)^-1;
+* 1[x + M] * Delta(g) 1[psi_g(M)] = index(t')^-1 1[x + psi_t'(M)], since
+  for the coprime pair s', t' the subgroups M and psi_g(M) meet in
+  psi_s'^-1(M), of mass index(s')^-1 = index(t')^-1 / Delta(g), and sum
+  to psi_t'(M).
+
+The first line holds for every s, so a common factor r of s and t only
+moves the translate: v_r^* i(delta_n) v_r = i(delta_(psi_r^-1(n))).  For
+reduced pairs this is the generator formula of the Hecke algebra, compare
+mu_n^* e(gamma) mu_n = e(n gamma) in Bost-Connes.  ``compose_corner``
+builds its elements from it, and the product definition
+isom_v(s).star() * embed_algebra(a) * isom_v(t) is the tests' oracle.
+
 The corner p (A x| G) p is identified with the semigroup crossed product
 by writing each of its elements as a sum of v_s^* i(a) v_t triples
-(``corner_decompose``), one per group component g = s^-1 t.  Two facts
-make this a direct read-off:
-
-* translation identity: the g-term of v_s^* i(delta_n) v_t is the g-term
-  of v_s^* v_t translated by psi_s^-1(n), because beta, convolution and
-  the embedding i all commute with translations of N.  That g-term is
-  beta * 1_H, one scalar on a subgroup H of N invariant under
-  psi_s^-1(M), so two probes are equal or have disjoint supports;
-* certificate: v_s^* i(a) v_t is linear in a, so a component that the
-  read-off coefficients rebuild exactly, as sum_n a_n * probe_n, is a sum
-  of corner triples.  No separate p d p == d test is needed;
-  ``in_corner`` keeps that definition as a predicate.
+(``corner_decompose``), one per group component g = s^-1 t with s, t
+reduced.  The probes, the g-terms of v_s^* i(delta_n) v_t, are then
+translates of one subgroup psi_t(M), so two probes are equal or disjoint,
+and the coefficients are read off.  The exact rebuild is the certificate:
+v_s^* i(a) v_t is linear in a, so a component that the read-off
+coefficients rebuild exactly, as sum_n a_n * probe_n, is a sum of corner
+triples.  No separate p d p == d test is needed; ``in_corner`` keeps that
+definition as a predicate.
 
 The induction engine rewrites (f u_g) applied to a dilation block (s, h),
 with g s^-1 = s'^-1 t', through the cylinder identity
@@ -56,9 +77,11 @@ with the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import autodil, grpalg, tower
 from .autodil import LocFun
+from .coeffs import accumulate
 from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
 from .pairs import PairFamily, json_field, json_list
@@ -179,8 +202,34 @@ def embed_algebra(a: grpalg.GroupAlgebraElement) -> CrossedElement:
 
 
 def compose_corner(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> CrossedElement:
-    """The corner element v_s^* i(a) v_t."""
-    return isom_v(family, s).star() * embed_algebra(a) * isom_v(family, t)
+    """The corner element v_s^* i(a) v_t, in the closed form of the module
+    docstring: one term at g = s^-1 t, at the identity level.
+
+    With (s', t') = ``g_reduce(g)``, each a_n / index(t') sits on the
+    cosets of psi_s^-1(n) + psi_t'(M): ``translate`` of the level-t'
+    solutions at 0 by psi_s^-1(n), the translates taken from one
+    ``psi_inv_keys`` batch.  Terms of a on one coset of psi_t'(M) merge
+    through ``coeffs.accumulate``, and an element that cancels is empty.
+    It raises LevelCapError when s exceeds the cap, as the product
+    definition does through ``theta_star_inv``."""
+    family.validate_s(s)
+    family.validate_s(t)
+    g = family.g_mul(family.g_inv(family.g_from_s(s)), family.g_from_s(t))
+    return CrossedElement.build(family, [(_corner_term(family, s, a, family.g_reduce(g)[1]), g)])
+
+
+def _corner_term(fam: PairFamily, s, a: grpalg.GroupAlgebraElement, tp) -> LocFun:
+    """The function of v_s^* i(a) v_t, for t' = tp the reduced right factor
+    of s^-1 t: a_n / index(t') on each coset of psi_s^-1(n) + psi_t'(M)."""
+    fam.require_level(s)
+    cosets = fam.solve_coset(tp, fam.n_identity)
+    w = Fraction(1, fam.index(tp))
+    weighted = [c * w for c in a.values.values()]
+    return LocFun(fam, fam.s_identity, accumulate({}, (
+        (key, v)
+        for x, v in zip(fam.psi_inv_keys(s, a.values), weighted)
+        for key in fam.translate(x, cosets)
+    )))
 
 
 def module_element(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> CrossedElement:
@@ -207,54 +256,45 @@ def corner_decompose(d: CrossedElement):
     """Write a corner element exactly as a sum of v_s^* i(a) v_t triples.
 
     Works per group component f at g = s^-1 t (s, t from ``g_reduce``).
-    Only the identity probe v_s^* v_t is multiplied out, once per
-    component; its g-term ``base`` is beta * 1_H, and the probe of delta_n
-    is ``base`` translated by psi_s^-1(n) (see ``_translate``).  Probes are
-    therefore equal or disjoint, and the coefficients are read off: for
-    the first cell c of f not yet covered, n = canon(psi_s(c)) has c in
-    its probe, a_n = f(c) / beta, and f must equal a_n times the probe on
-    every cell of it, which is then removed from f.
+    By the closed form, the probe of delta_n, the g-term of
+    v_s^* i(delta_n) v_t, is index(t)^-1 times the indicator of
+    psi_s^-1(n) + psi_t(M).  ``base``, the probe of delta_0 (the level-t
+    solutions at 0) refined to f's level, is the subgroup psi_t(M), and
+    every probe is a translate of it, so probes are equal or disjoint.
+    The coefficients are read off: for the first cell c of f not yet
+    covered, n = canon(psi_s(c)) has psi_s^-1(n) in c + psi_s^-1(M), inside
+    c + psi_t(M), so c's probe is ``base`` translated by c;
+    a_n = index(t) f(c), and f must equal f(c) on every cell of that probe,
+    which is then removed from f.  Nothing is multiplied out.
 
     The exact rebuild is the membership certificate: compose_corner is
     linear in a, so when the probes cover f exactly the read-off a gives
     d = sum_g v_s^* i(a_g) v_t, which lies in the corner.  A cell where f
     and the probe disagree raises NotInCornerError; ``in_corner`` stays
-    the definition-level predicate p d p == d.
+    the definition-level predicate p d p == d.  Like ``compose_corner``, it
+    raises LevelCapError when s exceeds the cap.
     """
     fam = d.family
     triples = []
     for g, f in d.terms.items():
         s, t = fam.g_reduce(g)
-        base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
-        level = fam.s_join(base.level, f.level)
-        base = base.refine(level)
-        beta = next(iter(base.values.values()))
-        rest = dict(f.refine(level).values)
+        level = f.level
+        base = _corner_term(fam, s, grpalg.one(fam), t).refine(level).values
+        scale = fam.index(t)
+        rest = dict(f.values)
         coeffs = []
         while rest:
             c = next(iter(rest))
-            n = fam.canon(fam.psi_s(s, c))
-            a_n = rest[c] * beta.inverse()
-            for key, b in _translate(base, fam.psi_s_inv(s, n)).values.items():
-                if rest.pop(key, None) != a_n * b:
+            value = rest[c]
+            for key in fam.translate(c, base, level):
+                if rest.pop(key, None) != value:
                     raise NotInCornerError(
                         f"not in the corner: component {g!r} differs from "
                         f"its read-off at coset {key!r}"
                     )
-            coeffs.append((n, a_n))
+            coeffs.append((fam.canon(fam.psi_s(s, c)), value * scale))
         triples.append((s, grpalg.GroupAlgebraElement.build(fam, coeffs), t))
     return triples
-
-
-def _translate(f: LocFun, x) -> LocFun:
-    """The function f(. - x), at f's level.
-
-    Translation maps level cosets bijectively onto level cosets, so keys
-    stay distinct and values are unchanged.
-    """
-    fam = f.family
-    values = dict(zip(fam.translate(x, f.values, f.level), f.values.values()))
-    return f._with(values)
 
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:

@@ -11,9 +11,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke_lab.coeffs import QC
-from hecke_lab.errors import ConfigError, NotInCornerError
+from hecke_lab.errors import ConfigError, LevelCapError, NotInCornerError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import autodil, dilate, grpalg, repspace, tower, xprod
 from hecke_lab.autodil import chi_K, cylinder, theta_star_g
@@ -530,35 +531,132 @@ def test_corner_decompose_roundtrip_families(corner_case):
     assert recompose(fam, corner_decompose(d)) == d
 
 
-def test_translated_probe_matches_compose_corner(corner_case):
-    # Every probe at g = s^-1 t is the identity probe translated by
-    # psi_s^-1(n): corner_decompose multiplies out only the identity probe.
-    fam, st, ns, _ = corner_case
-    for s, t in st:
-        g = fam.g_mul(fam.g_inv(fam.g_from_s(s)), fam.g_from_s(t))
-        base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
-        for n in ns:
-            probe = compose_corner(fam, s, delta(fam, n), t)
-            assert set(probe.terms) == {g}
-            assert xprod._translate(base, fam.psi_s_inv(s, n)) == probe.terms[g]
+def product_corner(fam, s, a, t):
+    """v_s^* i(a) v_t by its definition, multiplied out in the crossed
+    product: the oracle for ``compose_corner``'s closed form."""
+    return isom_v(fam, s).star() * embed_algebra(a) * isom_v(fam, t)
 
 
-def test_identity_probe_is_a_scalar_on_a_subgroup(corner_case):
-    # The premise of corner_decompose's read-off: the g-term of v_s^* v_t is
-    # one scalar on a subgroup H of N that is invariant under psi_s^-1(M),
-    # so its translates, the probes, are equal or disjoint.
-    fam, st, _, _ = corner_case
-    rng = random.Random(79)
-    for s, t in st:
+def _complex_element(fam, ns):
+    return grpalg.GroupAlgebraElement.build(
+        fam, [(ns[0], QC(F(1), F(-1))), (ns[1], F(-2, 3)), (ns[2 % len(ns)], QC(F(0), F(3, 2)))]
+    )
+
+
+def test_compose_corner_matches_product_definition(corner_case):
+    # Exact equality, term by term at the join level, for every generator
+    # and a multi-term complex element on each (s, t) pair of the case.
+    fam, pairs, ns, _ = corner_case
+    for s, t in pairs:
         g = fam.g_mul(fam.g_inv(fam.g_from_s(s)), fam.g_from_s(t))
-        base = compose_corner(fam, s, grpalg.one(fam), t).terms[g]
-        keys = set(base.values)
-        assert len(set(base.values.values())) == 1
-        assert fam.canon(fam.n_identity, base.level) in keys
-        shifts = [fam.psi_s_inv(s, fam.random_M(rng)) for _ in range(4)]
-        shifts += [fam.n_neg(k) for k in rng.sample(sorted(keys), min(3, len(keys)))]
-        for x in shifts:
-            assert set(fam.translate(x, base.values, base.level)) == keys
+        for a in [delta(fam, n) for n in ns] + [_complex_element(fam, ns)]:
+            got = compose_corner(fam, s, a, t)
+            assert set(got.terms) == {g}
+            assert got == product_corner(fam, s, a, t)
+
+
+# Pairs with a common factor per corner case: v_r^* i(delta_n) v_r =
+# i(delta_(psi_r^-1(n))) moves them to their reduced pair.
+NON_REDUCED = {
+    "bost-connes": [(12, 8), (3, 3), (6, 6)],
+    "padic(3)": [(1, 1), (2, 3)],
+    "matrix-diag": [((1, 1), (1, 1)), ((1, 0), (1, 1))],
+    "matrix-skew": [((0, 1), (0, 1)), ((1, 0), (1, 1))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_compose_corner_on_non_reduced_pairs_and_cancellation(name):
+    make, _, ns, _ = CORNER_CASES[name]
+    fam = make()
+    for s, t in NON_REDUCED[name]:
+        assert fam.s_meet(s, t) != fam.s_identity
+        for a in (delta(fam, ns[0]), _complex_element(fam, ns)):
+            assert compose_corner(fam, s, a, t) == product_corner(fam, s, a, t)
+        # n and n + m with m in psi_(s t')(M) give the same translate
+        # psi_s^-1(n) + psi_t'(M), so their difference is zero.
+        tp = fam.g_reduce(fam.g_mul(fam.g_inv(fam.g_from_s(s)), fam.g_from_s(t)))[1]
+        m = fam.solve_coset(fam.s_mul(s, tp), fam.n_identity)[1]
+        n2 = fam.canon(fam.n_add(ns[0], m))
+        assert n2 != fam.canon(ns[0])
+        a = grpalg.GroupAlgebraElement.build(fam, [(ns[0], QC(F(1), F(2))), (n2, QC(F(-1), F(-2)))])
+        assert compose_corner(fam, s, a, t).is_zero()
+        assert product_corner(fam, s, a, t).is_zero()
+
+
+_ORACLE_FAMILIES = {
+    "bost-connes": (BostConnesFamily(), [1, 2, 3, 4, 6, 8, 12]),
+    "padic(2)": (PadicFamily(2), [0, 1, 2, 3]),
+    "padic(3)": (PadicFamily(3), [0, 1, 2]),
+    "matrix-diag": (
+        MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+    ),
+}
+
+
+@st.composite
+def corner_oracle_cases(draw):
+    fam, levels = _ORACLE_FAMILIES[draw(st.sampled_from(sorted(_ORACLE_FAMILIES)))]
+    s, t = draw(st.sampled_from(levels)), draw(st.sampled_from(levels))
+    dim = 2 if fam.tag == "matrix" else 1
+    coord = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10]))
+    part = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[coord] * dim), st.builds(QC, part, part)), min_size=1, max_size=3
+    ))
+    pairs = [(n if dim > 1 else n[0], c) for n, c in terms]
+    return fam, s, grpalg.GroupAlgebraElement.build(fam, pairs), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(corner_oracle_cases())
+def test_compose_corner_matches_product_on_random_cases(case):
+    fam, s, a, t = case
+    got = compose_corner(fam, s, a, t)
+    assert got == product_corner(fam, s, a, t)
+    assert recompose(fam, corner_decompose(got)) == got
+
+
+# Families with a low cap: (family, levels on both sides of the cap, n).
+CAPPED = {
+    "bost-connes": (lambda: BostConnesFamily(level_cap=12), [1, 2, 3, 4, 6, 12, 24, 36], F(1, 2)),
+    "padic(3)": (lambda: PadicFamily(3, index_cap=27), [0, 1, 2, 3, 4], F(1, 3)),
+    "matrix-diag": (
+        lambda: MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]], level_cap=(1, 1)),
+        [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)],
+        (F(1, 2), F(0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_compose_corner_level_cap_matches_product_definition(name):
+    # Both routes raise LevelCapError for the same (s, t), exactly when s
+    # exceeds the cap, and agree wherever neither raises.
+    make, levels, n = CAPPED[name]
+    fam = make()
+    a = grpalg.GroupAlgebraElement.build(fam, [(n, QC(F(1), F(-1))), (fam.n_identity, F(2))])
+
+    def outcome(route, s, t):
+        try:
+            return route(fam, s, a, t)
+        except LevelCapError:
+            return LevelCapError
+
+    raised = 0
+    for s in levels:
+        for t in levels:
+            got, want = outcome(compose_corner, s, t), outcome(product_corner, s, t)
+            try:
+                fam.require_level(s)
+                over = False
+            except LevelCapError:
+                over = True
+            assert (got is LevelCapError) == (want is LevelCapError) == over, (s, t)
+            assert got is LevelCapError or got == want
+            raised += over
+    assert 0 < raised < len(levels) ** 2
 
 
 def test_in_corner_iff_decomposes(corner_case):
@@ -596,7 +694,10 @@ def test_in_corner_iff_decomposes(corner_case):
 
 # Regression shapes: products whose join level spreads each factor over
 # hundreds of cosets.  Both took about 50 s when convolve refined its
-# factors to the join level before pairing them.
+# factors to the join level before pairing them.  The matrix factors are
+# built by the product definition, which stores y at level (1, 1), so the
+# g = e term of x * y holds 900 keys; compose_corner's closed form stores
+# y at the identity level, and that term would hold 30.
 
 
 def _check_product_by_second_route(x, y, d, points):
@@ -632,8 +733,10 @@ def test_matrix_corner_product_at_join_one_one():
     b = grpalg.GroupAlgebraElement.build(
         fam, [((F(1), F(0)), F(3, 2)), ((F(1, 2), F(2, 3)), QC(F(0), F(1)))]
     )
-    x = compose_corner(fam, (0, 0), a, (1, 1))
-    y = compose_corner(fam, (1, 1), b, (0, 0))
+    x = product_corner(fam, (0, 0), a, (1, 1))
+    y = product_corner(fam, (1, 1), b, (0, 0))
+    assert compose_corner(fam, (0, 0), a, (1, 1)) == x
+    assert compose_corner(fam, (1, 1), b, (0, 0)) == y
     start = time.perf_counter()
     d = x * y
     elapsed = time.perf_counter() - start
@@ -654,8 +757,10 @@ def test_matrix_corner_product_in_adjoint_order():
     b = grpalg.GroupAlgebraElement.build(
         fam, [((F(1), F(0)), F(3, 2)), ((F(1, 2), F(2, 3)), QC(F(0), F(1)))]
     )
-    x = compose_corner(fam, (0, 0), a, (1, 1))
-    y = compose_corner(fam, (1, 1), b, (0, 0))
+    x = product_corner(fam, (0, 0), a, (1, 1))
+    y = product_corner(fam, (1, 1), b, (0, 0))
+    assert compose_corner(fam, (0, 0), a, (1, 1)) == x
+    assert compose_corner(fam, (1, 1), b, (0, 0)) == y
     ys, xs = y.star(), x.star()
     start = time.perf_counter()
     d = ys * xs
