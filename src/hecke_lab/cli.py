@@ -928,23 +928,18 @@ def check_naturality(ctx: Ctx):
 def check_extend_restrict(ctx: Ctx):
     fam = ctx.family
     rep = ctx.rep()
-    ext = xprod.extend_rep(rep)
-    res = xprod.restrict_completion_rep(ext)
-    dil = ext.dilation
+    ind = xprod.x_ind(rep)
+    dil = ind.dilation
     worst = 0.0
     for _ in range(ctx.trials // 2):
         n = ctx.cosets(1)[0]
         s = ctx.rng.choice(ctx.small_s()[:4])
         v = dilate.DilationVector.symbol(s, ctx.vectors(1)[0])
-        try:
-            lhs = res.X(n, v)
-            rhs = dil.apply_W(n, v)
-        except (LevelCapError, HeckeLabError):
-            continue
-        worst = max(worst, dil.distance(lhs, rhs))
+        lhs = ind.W(tower.embed_j(fam, n), v)
+        worst = max(worst, dil.distance(lhs, dil.apply_W(n, v)))
     for m in ctx.sample_M(4):
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
-        worst = max(worst, res.m_fixed_deviation(m, v))
+        worst = max(worst, ind.m_fixed_deviation(m, v))
     # The unit expressed on deeper cylinders acts as the fixed-space cut.
     for level in ctx.small_s()[1:3]:
         try:
@@ -953,15 +948,15 @@ def check_extend_restrict(ctx: Ctx):
         except LevelCapError:
             continue
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
-        worst = max(worst, dil.distance(ext.rho(k_refined, v), ext.rho_p(v)))
+        worst = max(worst, dil.distance(ind.rho(k_refined, v), ind.rho_p(v)))
     return _float(worst, ctx.tol)
 
 
 def check_extension_covariance(ctx: Ctx):
     fam = ctx.family
     rep = ctx.rep()
-    ext = xprod.extend_rep(rep)
-    dil = ext.dilation
+    ind = xprod.x_ind(rep)
+    dil = ind.dilation
     worst = 0.0
     for _ in range(max(4, ctx.depth * 2)):
         f = _random_locfun(ctx)
@@ -969,8 +964,8 @@ def check_extension_covariance(ctx: Ctx):
         g = fam.g_from_s(s)
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
         try:
-            lhs = ext.rho(autodil.theta_star_g(g, f), v)
-            rhs = ext.U(g, ext.rho(f, ext.U(fam.g_inv(g), v)))
+            lhs = ind.rho(autodil.theta_star_g(g, f), v)
+            rhs = dil.apply_U(g, ind.rho(f, dil.apply_U(fam.g_inv(g), v)))
         except LevelCapError:
             continue
         worst = max(worst, dil.distance(lhs, rhs))

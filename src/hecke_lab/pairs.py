@@ -308,7 +308,7 @@ class PairFamily:
         """Raise LevelCapError when s exceeds the configured cap."""
         raise NotImplementedError
 
-    def separating_level(self, n, search=64):
+    def separating_level(self, n):
         """Some s with n outside psi_s^-1(M), witnessing trivial intersection."""
         raise NotImplementedError
 
@@ -510,7 +510,7 @@ class BostConnesFamily(_RationalFamily):
         if s > self.level_cap:
             raise LevelCapError(f"bost-connes level {s} exceeds cap {self.level_cap}")
 
-    def separating_level(self, n, search=64):
+    def separating_level(self, n):
         if n.denominator > 1:
             return 1
         if n == 0:
@@ -600,7 +600,7 @@ class PadicFamily(_RationalFamily):
                 f"padic level {s} has index {self.p**s} above cap {self.index_cap}"
             )
 
-    def separating_level(self, n, search=64):
+    def separating_level(self, n):
         if n.denominator > 1:
             return 0
         if n == 0:
@@ -910,14 +910,14 @@ class MatrixFamily(PairFamily):
             raise ConfigError(f"{n!r} has denominators outside the family's primes")
         return (a, b)
 
-    def separating_level(self, n, search=64):
+    def separating_level(self, n):
         if all(x == 0 for x in n):
             raise ConfigError("the identity lies in every level subgroup")
-        for k in range(search):
+        for k in range(64):
             s = (k, k)
             if not self.in_level_subgroup(n, s):
                 return s
-        raise ConfigError(f"no separating level below {search} for {n!r}")
+        raise ConfigError(f"no separating level below 64 for {n!r}")
 
     def random_coset(self, rng, depth: int):
         s = (rng.randint(0, 2), rng.randint(0, 2))

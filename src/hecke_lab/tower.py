@@ -7,7 +7,7 @@ deepest level: every shallower coset is determined by reduction, so a
 subgroup K consists of the elements whose representative lies in M.
 
 The semigroup acts by theta_t, characterised by
-``project(theta_t(x), s) = psi_t(project(x, s*t))``; its inverse moves data
+``theta_t(x).project(s) = psi_t(x.project(s*t))``; its inverse moves data
 to deeper levels and is always available.
 """
 
@@ -100,11 +100,6 @@ class ExactElement:
 def embed_j(family: PairFamily, n) -> ExactElement:
     """The canonical embedding of N into its completion."""
     return ExactElement(family, n)
-
-
-def project(x, s):
-    """Level-s coset of a truncated or exact element."""
-    return x.project(s)
 
 
 def theta_apply(t, x: TruncatedElement) -> TruncatedElement:

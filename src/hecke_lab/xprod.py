@@ -48,6 +48,20 @@ coefficients rebuild exactly, as sum_n a_n * probe_n, is a sum of corner
 triples.  No separate p d p == d test is needed; ``in_corner`` keeps that
 definition as a predicate.
 
+The crossed product acts on the dilation space of a covariant pair by one
+representation rho x U (``InducedRep``): U is the dilated unitary group,
+and rho, the function representation, is defined on cylinder indicators by
+
+    rho(level-a cylinder over y) = index(a)^-1 U_a^* W(psi_a(y)) rho(p) U_a,
+
+with rho(p) the blockwise fixed-space projection and W(x) the unitary of a
+completion element x, acting on the block (s, h) as Y[psi_s(x_s)], x_s
+the level-s coset of x.  Restricted to the totally disconnected group,
+rho x U is the pair (W, U), generated by the fixed space of W on the
+compact subgroup (``m_fixed_deviation``).  ``act`` never forms the
+cylinder product: it computes rho(f) U_g in one pass, and the tests check
+it against this definition.
+
 The induction engine rewrites (f u_g) applied to a dilation block (s, h),
 with g s^-1 = s'^-1 t', through the cylinder identity
 
@@ -79,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import autodil, grpalg, tower
+from . import autodil, grpalg
 from .autodil import LocFun
 from .coeffs import accumulate
 from .dilate import CompressedRep, Dilation, DilationVector
@@ -307,8 +321,9 @@ def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:
 
 
 class InducedRep:
-    """The representation of the crossed product on the dilation space of a
-    covariant pair, with blocks (s, h) playing the role of u_s^* p (x) h."""
+    """The representation rho x U of the crossed product on the dilation
+    space of a covariant pair, with blocks (s, h) playing the role of
+    u_s^* p (x) h; ``W`` restricts it to the completion group."""
 
     def __init__(self, rep: CovariantRep):
         self.rep = rep
@@ -349,45 +364,12 @@ class InducedRep:
                 out.append((target_s, lifted))
         return DilationVector.build(out)
 
+    def rho(self, f: LocFun, vec: DilationVector) -> DilationVector:
+        """The function representation: ``act`` of the one term f u_e."""
+        return self.act(CrossedElement.from_locfun(f), vec)
+
     def rho_p(self, vec: DilationVector) -> DilationVector:
         """rho of the distinguished projection: blockwise averaging."""
-        return self.dilation.project_fixed(vec)
-
-
-def x_ind(rep: CovariantRep) -> InducedRep:
-    """Induction from the covariant pair to the crossed product."""
-    return InducedRep(rep)
-
-
-def theta_map(induced: InducedRep, d: CrossedElement, h: SparseVector) -> DilationVector:
-    """The intertwiner sending (p d) (x) h to the vector (rho x U)(p d) h."""
-    pd = projection_p(induced.family) * d
-    return induced.act(pd, induced.phi(h))
-
-
-def rc(induced) -> CompressedRep:
-    """Restriction-compression: inverse of the induction functor."""
-    return CompressedRep(induced.dilation)
-
-
-class ExtendedRep:
-    """Extension of a dilated pair to the completion crossed product.
-
-    The function representation is defined on cylinder indicators by
-
-        rho(cylinder at level a over y)
-            = index(a)^-1 U_a^* W(psi_a(y)) rho(p) U_a,
-
-    with rho(p) the blockwise fixed-space projection; W acts on finite-
-    precision completion elements through their level projections.
-    """
-
-    def __init__(self, rep: CovariantRep):
-        self.rep = rep
-        self.family = rep.family
-        self.dilation = Dilation(rep)
-
-    def rho_p(self, vec: DilationVector) -> DilationVector:
         return self.dilation.project_fixed(vec)
 
     def W(self, x, vec: DilationVector) -> DilationVector:
@@ -405,54 +387,26 @@ class ExtendedRep:
             out.append((s, self.rep.apply_Y(n, h)))
         return DilationVector.build(out)
 
-    def U(self, g, vec: DilationVector) -> DilationVector:
-        return self.dilation.apply_U(g, vec)
-
-    def rho_cylinder(self, level, y, vec: DilationVector) -> DilationVector:
-        fam = self.family
-        n = fam.canon(fam.psi_s(level, y))
-        moved = self.dilation.apply_Us(level, vec)
-        fixed = self.rho_p(moved)
-        translated = self.W(tower.embed_j(fam, n), fixed)
-        back = self.dilation.apply_Ustar(level, translated)
-        return back.scale(1.0 / fam.index(level))
-
-    def rho(self, f: LocFun, vec: DilationVector) -> DilationVector:
-        return DilationVector.build(
-            block
-            for c, val in f.values.items()
-            for block in self.rho_cylinder(f.level, c, vec).scale(complex(val)).blocks.items()
-        )
-
-
-def extend_rep(rep: CovariantRep) -> ExtendedRep:
-    """Extend a covariant pair, through its dilation, to the completion."""
-    return ExtendedRep(rep)
-
-
-@dataclass(frozen=True)
-class RestrictedRep:
-    """Restriction of a completion representation to the dense subgroup."""
-
-    extension: ExtendedRep
-
-    def X(self, n, vec: DilationVector) -> DilationVector:
-        fam = self.extension.family
-        return self.extension.W(tower.embed_j(fam, n), vec)
-
-    def U(self, g, vec: DilationVector) -> DilationVector:
-        return self.extension.U(g, vec)
-
     def m_fixed_deviation(self, m, vec: DilationVector) -> float:
         """How far the subgroup unitaries move a projected vector; zero
         certifies that the restriction is generated by fixed vectors."""
-        fam = self.extension.family
-        if not fam.in_M(m):
+        if not self.family.in_M(m):
             raise ValueError(f"{m!r} is not in the distinguished subgroup")
-        fixed = self.extension.rho_p(vec)
-        moved = self.X(m, fixed)
-        return self.extension.dilation.distance(moved, fixed)
+        fixed = self.rho_p(vec)
+        return self.dilation.distance(self.dilation.apply_W(m, fixed), fixed)
 
 
-def restrict_completion_rep(ext: ExtendedRep) -> RestrictedRep:
-    return RestrictedRep(ext)
+def x_ind(rep: CovariantRep) -> InducedRep:
+    """Induction from the covariant pair to the crossed product."""
+    return InducedRep(rep)
+
+
+def theta_map(induced: InducedRep, d: CrossedElement, h: SparseVector) -> DilationVector:
+    """The intertwiner sending (p d) (x) h to the vector (rho x U)(p d) h."""
+    pd = projection_p(induced.family) * d
+    return induced.act(pd, induced.phi(h))
+
+
+def rc(induced) -> CompressedRep:
+    """Restriction-compression: inverse of the induction functor."""
+    return CompressedRep(induced.dilation)

@@ -310,24 +310,23 @@ def test_criterion_7_appendix_functors(bc, rep):
 
 def test_criterion_8_equivalence(bc, rep):
     """Extension to the completion restricts back to the dilated unitaries."""
-    ext = xprod.extend_rep(rep)
-    res = xprod.restrict_completion_rep(ext)
-    dl = ext.dilation
+    ind = xprod.x_ind(rep)
+    dl = ind.dilation
     rng = random.Random(53)
     worst = 0.0
     for _ in range(100):
         n = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
         vec = DilationVector.symbol(rng.choice([1, 2, 3, 4, 6]), random_vector(bc, rng))
-        worst = max(worst, dl.distance(res.X(n, vec), dl.apply_W(n, vec)))
+        worst = max(worst, dl.distance(ind.W(embed_j(bc, n), vec), dl.apply_W(n, vec)))
     m_worst = 0.0
     for m in (Fraction(1), Fraction(-5), Fraction(12)):
         vec = DilationVector.symbol(rng.choice([1, 2, 3]), random_vector(bc, rng))
-        m_worst = max(m_worst, res.m_fixed_deviation(m, vec))
+        m_worst = max(m_worst, ind.m_fixed_deviation(m, vec))
     unit_worst = 0.0
     for level in (2, 4):
         k_at = chi_K(bc).refine(level)
         vec = DilationVector.symbol(rng.choice([1, 2, 3]), random_vector(bc, rng))
-        unit_worst = max(unit_worst, dl.distance(ext.rho(k_at, vec), ext.rho_p(vec)))
+        unit_worst = max(unit_worst, dl.distance(ind.rho(k_at, vec), ind.rho_p(vec)))
     ok = worst <= TOL and m_worst <= TOL and unit_worst <= TOL
     report(
         "8 restriction/extension equivalence with subgroup-generated range",

@@ -27,12 +27,10 @@ from hecke_lab.xprod import (
     corner_decompose,
     embed_algebra,
     eval_corner,
-    extend_rep,
     in_corner,
     isom_v,
     projection_p,
     rc,
-    restrict_completion_rep,
     theta_map,
     x_ind,
 )
@@ -364,35 +362,32 @@ def test_theta_map_naturality(rep, bc):
 # --- extension and restriction ------------------------------------------------------
 
 
-def test_extension_unit_acts_as_projection(rep, bc):
-    ext = extend_rep(rep)
-    dil = ext.dilation
+def test_extension_unit_acts_as_projection(ind, bc):
+    dil = ind.dilation
     rng = random.Random(53)
     for level in (2, 4, 6):
         k_at_level = chi_K(bc).refine(level)
         for _ in range(3):
             vec = DilationVector.symbol(rng.choice([1, 2, 3]), random_vector(bc, rng))
-            assert dil.distance(ext.rho(k_at_level, vec), ext.rho_p(vec)) < TOL
+            assert dil.distance(ind.rho(k_at_level, vec), ind.rho_p(vec)) < TOL
 
 
-def test_extension_generator_action(rep, bc):
+def test_extension_generator_action(ind, bc):
     # rho of a generator cylinder acts as the translation unitary after the
     # fixed-space cut.
-    ext = extend_rep(rep)
-    dil = ext.dilation
+    dil = ind.dilation
     rng = random.Random(59)
     for n in (Fraction(1, 2), Fraction(1, 3)):
         f = autodil.embed_i(delta(bc, n))
         for _ in range(3):
             vec = DilationVector.symbol(rng.choice([1, 2]), random_vector(bc, rng))
-            lhs = ext.rho(f, vec)
-            rhs = ext.W(tower.embed_j(bc, n), ext.rho_p(vec))
+            lhs = ind.rho(f, vec)
+            rhs = ind.W(tower.embed_j(bc, n), ind.rho_p(vec))
             assert dil.distance(lhs, rhs) < TOL
 
 
-def test_extension_covariance(rep, bc):
-    ext = extend_rep(rep)
-    dil = ext.dilation
+def test_extension_covariance(ind, bc):
+    dil = ind.dilation
     rng = random.Random(61)
     for _ in range(8):
         level = rng.choice([1, 2])
@@ -401,57 +396,98 @@ def test_extension_covariance(rep, bc):
         )
         g = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2]))
         vec = DilationVector.symbol(rng.choice([1, 2]), random_vector(bc, rng))
-        lhs = ext.rho(theta_star_g(g, f), vec)
-        rhs = ext.U(g, ext.rho(f, ext.U(1 / g, vec)))
+        lhs = ind.rho(theta_star_g(g, f), vec)
+        rhs = dil.apply_U(g, ind.rho(f, dil.apply_U(1 / g, vec)))
         assert dil.distance(lhs, rhs) < TOL
 
 
-def test_restriction_recovers_dilated_unitaries(rep, bc):
-    ext = extend_rep(rep)
-    res = restrict_completion_rep(ext)
-    dil = ext.dilation
+def test_restriction_recovers_dilated_unitaries(ind, bc):
+    dil = ind.dilation
     rng = random.Random(67)
     for _ in range(100):
         n = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         vec = DilationVector.symbol(rng.choice([1, 2, 3, 4]), random_vector(bc, rng))
-        assert dil.distance(res.X(n, vec), dil.apply_W(n, vec)) < TOL
+        assert dil.distance(ind.W(tower.embed_j(bc, n), vec), dil.apply_W(n, vec)) < TOL
 
 
-def test_restriction_is_subgroup_generated(rep, bc):
-    ext = extend_rep(rep)
-    res = restrict_completion_rep(ext)
+def test_restriction_is_subgroup_generated(ind, bc):
     rng = random.Random(71)
-    for m in (Fraction(1), Fraction(-3), Fraction(12)):
+    for m in (Fraction(1), Fraction(-3), Fraction(12), Fraction(2), Fraction(5)):
         vec = DilationVector.symbol(rng.choice([1, 2, 3]), random_vector(bc, rng))
-        assert res.m_fixed_deviation(m, vec) < TOL
+        assert ind.m_fixed_deviation(m, vec) < TOL
 
 
-def test_trivial_on_k_everything_fixed(bc):
-    # Degenerate case: a pair trivial on the subgroup translations has all
-    # vectors fixed after the projection cut.
-    fam = bc
-
-    def apply_Y(n, v):
-        return v if fam.in_M(n) else repspace.SparseVector(
-            {fam.canon(fam.n_add(n, k)): c for k, c in v.values.items()}
-        )
-
-    rep0 = regular_covariant(fam)
-    ext = extend_rep(rep0)
-    rng = random.Random(73)
-    vec = ext.rho_p(DilationVector.symbol(2, random_vector(fam, rng)))
-    for m in (Fraction(2), Fraction(5)):
-        assert ext.dilation.distance(ext.W(tower.embed_j(fam, m), vec), vec) < TOL
-
-
-def test_w_truncated_precision_error(rep, bc):
+def test_w_truncated_precision_error(ind, bc):
     from hecke_lab.errors import PrecisionError
 
-    ext = extend_rep(rep)
     x = tower.TruncatedElement.make(bc, 2, Fraction(1, 2))
     vec = DilationVector.symbol(3, SparseVector.basis(Fraction(0)))
     with pytest.raises(PrecisionError):
-        ext.W(x, vec)
+        ind.W(x, vec)
+
+
+def rho_by_cylinders(ind, f, vec):
+    """rho(f) by its definition in the ``xprod`` docstring, one cylinder at
+    a time: index(a)^-1 U_a^* W(psi_a(y)) rho(p) U_a over the level-a
+    cells y of f, built from the dilation's own operators."""
+    fam = ind.family
+    dil = ind.dilation
+    a = f.level
+    fixed = dil.project_fixed(dil.apply_Us(a, vec))
+    w = 1.0 / fam.index(a)
+    out = []
+    for y, val in f.values.items():
+        moved = dil.apply_W(fam.canon(fam.psi_s(a, y)), fixed)
+        out.extend(dil.apply_Ustar(a, moved).scale(complex(val) * w).blocks.items())
+    return DilationVector.build(out)
+
+
+# (function levels, group elements, block levels) per family.
+RHO_CASES = {
+    "bost-connes": (
+        BostConnesFamily,
+        [1, 2, 3, 6],
+        [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(4, 3)],
+        [1, 2, 3],
+    ),
+    "padic(3)": (lambda: PadicFamily(3), [0, 1, 2], [0, 1, -1, 2, -2], [0, 1, 2]),
+    "matrix-diag": (
+        lambda: MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0, 0), (1, 0), (0, 1), (1, -1), (-1, 1)],
+        [(0, 0), (1, 0), (0, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RHO_CASES))
+def test_act_is_rho_after_u(name):
+    # act(f u_g) = rho(f) U_g, with rho written by its cylinder definition.
+    make, f_levels, gs, block_levels = RHO_CASES[name]
+    fam = make()
+    ind = x_ind(regular_covariant(fam))
+    dil = ind.dilation
+    rng = random.Random(89)
+    moved = 0
+    for _ in range(12):
+        level = rng.choice(f_levels)
+        f = autodil.LocFun.build(
+            fam,
+            level,
+            [
+                (fam.random_coset(rng, 2), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(3)
+            ],
+        )
+        g = rng.choice(gs)
+        vec = DilationVector.build(
+            (s, random_vector(fam, rng, 2)) for s in rng.sample(block_levels, 2)
+        )
+        lhs = ind.act(CrossedElement.build(fam, [(f, g)]), vec)
+        rhs = rho_by_cylinders(ind, f, dil.apply_U(g, vec))
+        assert dil.distance(lhs, rhs) < TOL
+        moved += dil.norm(rhs) > 0.05
+    assert moved >= 10
 
 
 def test_padic_corner_identities():
