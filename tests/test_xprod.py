@@ -412,9 +412,17 @@ def test_restriction_recovers_dilated_unitaries(ind, bc):
 
 def test_restriction_is_subgroup_generated(ind, bc):
     rng = random.Random(71)
-    for m in (Fraction(1), Fraction(-3), Fraction(12), Fraction(2), Fraction(5)):
+    for m in (Fraction(1), Fraction(-3), Fraction(12)):
         vec = DilationVector.symbol(rng.choice([1, 2, 3]), random_vector(bc, rng))
         assert ind.m_fixed_deviation(m, vec) < TOL
+
+
+def test_trivial_on_k_everything_fixed(ind, bc):
+    # After the projection cut, translations by the subgroup fix every vector.
+    rng = random.Random(73)
+    vec = ind.rho_p(DilationVector.symbol(2, random_vector(bc, rng)))
+    for m in (Fraction(2), Fraction(5)):
+        assert ind.dilation.distance(ind.W(tower.embed_j(bc, m), vec), vec) < TOL
 
 
 def test_w_truncated_precision_error(ind, bc):
