@@ -206,31 +206,39 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     both changed.
 
     The sum is taken in integers.  Each factor's values are written over
-    one common denominator D_f, D_g (``coeffs.qc_numerators``), and each
-    pair adds its product's two integer numerators into a [re, im] cell
-    for its key, found with one ``setdefault``; ``translate`` already
-    returns canonical level-m keys, so there is no ``canon``.  A cell that
-    returns to (0, 0) is deleted, so a key that comes back is appended at
-    the end, as ``LocFun.build`` orders a merge.  Each surviving cell is
-    normalised once, over D_f * D_g * index(j), into one ``QC``: values
-    and key order equal those of ``build`` over the ``QC`` products.
+    one common denominator D_f, D_g (``coeffs.qc_numerators``), and one
+    ``sum_codes`` batch codes the level-m coset of every pair of keys.
+    Each pair adds its product's two integer numerators into a [re, im]
+    cell for its code, found with one ``setdefault``, so no key is built
+    or hashed per pair.  A cell that returns to (0, 0) is deleted, so a
+    code that comes back is appended at the end, as ``LocFun.build``
+    orders a merge; equal codes are equal keys, so that is the key order
+    of a merge over keys.  Only the surviving codes are decoded, and each
+    cell is normalised once, over D_f * D_g * index(j), into one ``QC``:
+    values and key order equal those of ``build`` over the ``QC``
+    products.
     """
     fam = f.family
     t = f.common_level(g)
     m = fam.s_meet(f.level, g.level)
     df, f_nums = qc_numerators(f.values.values())
     dg, g_nums = qc_numerators(g.values.values())
+    codes, decode = fam.sum_codes(f.values, g.values, m)
+    codes = iter(codes)
     cells = {}
     setdefault = cells.setdefault
-    for ca, (a, b) in zip(f.values, f_nums):
-        for key, (c, d) in zip(fam.translate(ca, g.values, m), g_nums):
-            cell = setdefault(key, [0, 0])
+    for a, b in f_nums:
+        # g_nums comes first, so the row ends without consuming a code.
+        for (c, d), code in zip(g_nums, codes):
+            cell = setdefault(code, [0, 0])
             cell[0] += a * c - b * d
             cell[1] += a * d + b * c
             if not (cell[0] or cell[1]):
-                del cells[key]
+                del cells[code]
     den = df * dg * fam.index(t)
-    out = {key: qc_from_ints(re, im, den) for key, (re, im) in cells.items()}
+    out = {
+        key: qc_from_ints(re, im, den) for key, (re, im) in zip(decode(cells), cells.values())
+    }
     return LocFun(fam, m, out).refine(t)
 
 

@@ -16,14 +16,14 @@ which is a lattice order for all three families, so Ore pairs are computed
 from deterministic least upper bounds.
 
 Coset translation runs on integers.  Keys stay Fractions (tuples of them
-for ``matrix``) at the API, but ``solve_coset``, ``translate`` and
-``psi_inv_keys`` write their inputs as integer numerators over one
-denominator and build each output Fraction from its integer code, instead
-of adding and reducing Fractions per coset.  The scalar families build one Fraction per key.
-``matrix`` handles a whole batch of keys in column layout, one list of
-numerators per coordinate, and reads each coordinate from a per-family
-table of Fractions for its denominator, so a repeated coordinate is built
-once and is the same object wherever it recurs:
+for ``matrix``) at the API, but the kernels below write their inputs as
+integer numerators over one denominator and build each output Fraction
+from its integer code, instead of adding and reducing Fractions per coset.
+The scalar families build one Fraction per key.  ``matrix`` handles a
+whole batch of keys in column layout, one list of numerators per
+coordinate, and reads each coordinate from a per-family table of
+Fractions for its denominator, so a repeated coordinate is built once and
+is the same object wherever it recurs:
 
 * ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
   at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
@@ -35,12 +35,19 @@ once and is the same object wherever it recurs:
   adj(A_s) = D*A_s^-1.  They are reduced together, column by column, by
   the integer HNF of A_a scaled by L, which at the identity level is a
   mod L per coordinate.
-* ``translate(x, keys, a)`` writes x and the keys over their common
-  denominator and makes one integer add and one reduction per coordinate;
-  for ``matrix`` the reduction again runs on the whole batch of keys.
-* ``psi_inv_keys(s, keys, a)`` multiplies the keys' numerators by
-  index(s) for the scalar families, by A_s for ``matrix``, and reduces
-  as ``translate`` does.
+* ``sum_codes(xs, ys, a)`` writes every x and y over their common
+  denominator L and codes canon(x + y, a) for each pair by one integer add
+  and one reduction per coordinate: an int mod index(a)*L for the scalar
+  families, and for ``matrix`` the tuple of numerators that the HNF of A_a
+  scaled by L reduces as one batch.  Its ``decode`` builds keys only for
+  the codes it is given, so a caller that sums over pairs groups them by
+  code and builds one key per distinct output: ``autodil.convolve``,
+  ``xprod.compose_corner`` and the regular pair's V_s^*.
+* ``psi_inv_codes(s, keys)`` codes canon(psi_s^-1(k)) the same way: it
+  multiplies the numerators by index(s) for the scalar families and by A_s
+  for ``matrix``, and reduces mod L.
+* ``translate(x, keys, a)`` and ``psi_inv_keys(s, keys)`` are those two
+  kernels on one row, decoded.
 
 ``psi_reps`` with ``n_add`` and ``canon``, and ``psi_s_inv`` with
 ``canon``, are the Fraction routes that the tests compare these against.
@@ -277,30 +284,46 @@ class PairFamily:
         """``solve_coset`` for n already canonical at level; count = index(s)."""
         raise NotImplementedError
 
+    def sum_codes(self, xs, ys, level=None):
+        """(codes, decode): codes yields, once, a hashable integer code of
+        canon(x + y, level) for every pair, x in xs outer and y in ys
+        inner, and ``decode`` lists the keys of any iterable of those
+        codes, in its order, always as Fractions (tuples of them for
+        ``matrix``).  Within one call equal codes are equal keys, so a sum
+        over the pairs can be grouped by code and decode only the keys that
+        survive.  The inputs need not be canonical; pass collections.
+
+        In integers: every x and y is written over their common denominator
+        L, and each code is one integer add and one reduction per
+        coordinate.  The scalar families' code is that numerator reduced
+        mod index(a)*L.  ``matrix`` adds the batch one coordinate at a time,
+        as columns of numerators, and reduces it by the HNF of A_a scaled
+        by L, a plain mod per coordinate when that HNF is diagonal; its
+        code is the tuple of reduced numerators, made as it is read, so a
+        large batch holds its numerators only in columns."""
+        raise NotImplementedError
+
+    def psi_inv_codes(self, s, keys):
+        """(codes, decode) as in ``sum_codes``, for canon(psi_s_inv(s, k))
+        with k in keys, at the identity level.
+
+        In integers: the keys are written over their common denominator L;
+        psi_s^-1 multiplies the numerators by index(s) in the scalar
+        families, reduced mod L, and by the integer matrix A_s for
+        ``matrix``, reduced mod L per coordinate."""
+        raise NotImplementedError
+
     def translate(self, x, keys, level=None):
-        """[canon(k + x, level) for k in keys], in the order of keys, always
-        as Fractions (tuples of them for ``matrix``).  The keys need not be
-        canonical; they are iterated twice, so pass a collection.
+        """[canon(k + x, level) for k in keys], in the order of keys: the
+        decoded one-row ``sum_codes``."""
+        codes, decode = self.sum_codes((x,), keys, level)
+        return decode(codes)
 
-        In integers: x and the keys are written over their common
-        denominator L, and each output coordinate is one integer add and
-        one reduction.  The scalar families reduce mod index(a)*L.
-        ``matrix`` adds x to the keys one coordinate at a time, as columns
-        of numerators, and reduces the batch by the HNF of A_a scaled by L,
-        a plain mod per coordinate when that HNF is diagonal."""
-        raise NotImplementedError
-
-    def psi_inv_keys(self, s, keys, level=None):
-        """[canon(psi_s_inv(s, k), level) for k in keys], in the order of
-        keys, always as Fractions (tuples of them for ``matrix``).
-
-        In integers: psi_s^-1 multiplies by index(s) in the scalar
-        families, so k = p/q goes to (p*index(s) mod index(a)*q) / q.
-        ``matrix`` writes the keys over their common denominator L as
-        columns of numerators, multiplies them by the integer matrix A_s
-        and reduces the batch by the HNF of A_a scaled by L, as
-        ``translate`` does."""
-        raise NotImplementedError
+    def psi_inv_keys(self, s, keys):
+        """[canon(psi_s_inv(s, k)) for k in keys], in the order of keys:
+        the decoded ``psi_inv_codes``."""
+        codes, decode = self.psi_inv_codes(s, keys)
+        return decode(codes)
 
     # -- caps ----------------------------------------------------------------
 
@@ -396,10 +419,11 @@ def _int_from_json(data, what: str) -> int:
 class _RationalFamily(PairFamily):
     """The families with N inside Q and M = Z, whose level-s subgroup is
     index(s)*Z: their shared group law and serialization, and the integer
-    coding of ``solve_coset`` and ``translate``.  ``canon`` stays per family,
-    because it is hot and ``index`` validates its argument.  Subclasses
-    alias ``n_add`` and ``iter_coset_reps`` into their own namespace, where
-    per-family instrumentation (bench/tracing.py) wraps them."""
+    coding of ``solve_coset``, ``sum_codes`` and ``psi_inv_codes``.
+    ``canon`` stays per family, because it is hot and ``index`` validates
+    its argument.  Subclasses alias ``n_add`` and ``iter_coset_reps`` into
+    their own namespace, where per-family instrumentation
+    (bench/tracing.py) wraps them."""
 
     n_identity = property(lambda self: Fraction(0))
 
@@ -435,21 +459,20 @@ class _RationalFamily(PairFamily):
         step, den = q * self._modulus(level), q * count
         return [Fraction(p + k * step, den) for k in range(count)]
 
-    def translate(self, x, keys, level=None):
-        dens = [k.denominator for k in keys]
-        den = math.lcm(x.denominator, *dens)
-        shift = x.numerator * (den // x.denominator)
+    def sum_codes(self, xs, ys, level=None):
+        den = math.lcm(*(x.denominator for x in xs), *(y.denominator for y in ys))
         wrap = self._modulus(level) * den
-        return [
-            Fraction((k.numerator * (den // d) + shift) % wrap, den)
-            for k, d in zip(keys, dens)
+        ys = [y.numerator * (den // y.denominator) for y in ys]
+        codes = [
+            (a + b) % wrap for a in (x.numerator * (den // x.denominator) for x in xs) for b in ys
         ]
+        return codes, _fraction_decoder(den)
 
-    def psi_inv_keys(self, s, keys, level=None):
-        scale, wrap = self.index(s), self._modulus(level)
-        return [
-            Fraction(k.numerator * scale % (wrap * k.denominator), k.denominator) for k in keys
-        ]
+    def psi_inv_codes(self, s, keys):
+        den = math.lcm(*(k.denominator for k in keys))
+        scale = self.index(s)
+        codes = [k.numerator * (den // k.denominator) * scale % den for k in keys]
+        return codes, _fraction_decoder(den)
 
     def random_M(self, rng):
         return Fraction(rng.randint(-20, 20))
@@ -632,6 +655,11 @@ class PadicFamily(_RationalFamily):
     g_from_json = s_from_json
 
 
+def _fraction_decoder(den):
+    """The scalar families' ``decode``: code c is the key Fraction(c, den)."""
+    return lambda codes: [Fraction(c, den) for c in codes]
+
+
 def _reduce_mod(n, mod):
     """n modulo the integer mod; a Fraction already in [0, mod) is returned as is."""
     if type(n) is Fraction and 0 <= n.numerator < mod * n.denominator:
@@ -651,6 +679,12 @@ class _FractionTable(dict):
     def __missing__(self, c):
         x = self[c] = Fraction(c, self.den)
         return x
+
+
+def _numerators(keys, den):
+    """The keys' coordinates as integer numerators over den, in column
+    layout: one list per coordinate."""
+    return [[c.numerator * (den // c.denominator) for c in col] for col in zip(*keys)]
 
 
 def _int_matrix(rows):
@@ -788,13 +822,21 @@ class MatrixFamily(PairFamily):
             return tuple(x % 1 for x in n)
         return hnf_reduce(h, n)
 
-    def _decode(self, level, den, cols):
-        """canon(y/den, level) as tuples of Fractions, one key per vector y
-        of the batch cols: integer numerators over den in column layout,
-        cols[i] listing coordinate i of every vector.  The batch is reduced
-        by the level's HNF scaled by den in ``hnf_reduce_columns``, and the
-        keys come out in the batch's order.  The scaled HNF is cached per
-        (level, den) in ``_scaled_hnf_cache``.
+    def _reduce(self, level, den, cols):
+        """The integer numerators over den of canon(y/den, level), for each
+        vector y of the batch cols, in column layout (cols[i] lists
+        coordinate i of every vector): ``hnf_reduce_columns`` by the
+        level's HNF scaled by den, cached per (level, den) in
+        ``_scaled_hnf_cache``."""
+        scaled = self._scaled_hnf_cache.get((level, den))
+        if scaled is None:
+            h = self._unit if level is None else self._hnf(level)
+            scaled = self._scaled_hnf_cache[level, den] = [[den * x for x in row] for row in h]
+        return hnf_reduce_columns(scaled, cols)
+
+    def _decode(self, den, cols):
+        """The keys of reduced numerators over den in column layout, as
+        tuples of Fractions in the batch's order.
 
         Each coordinate c/den is read through ``map`` from the table for
         den in ``_fraction_cache``, a ``_FractionTable`` that builds
@@ -808,15 +850,18 @@ class MatrixFamily(PairFamily):
         keys of a level-(3, 3) ``alpha`` share about a thousand codes.  The
         scalar families keep no such table, because each of their keys is
         one Fraction: the table would keep every key alive."""
-        scaled = self._scaled_hnf_cache.get((level, den))
-        if scaled is None:
-            h = self._unit if level is None else self._hnf(level)
-            scaled = self._scaled_hnf_cache[level, den] = [[den * x for x in row] for row in h]
         table = self._fraction_cache.get(den)
         if table is None:
             table = self._fraction_cache[den] = _FractionTable(den)
         read = table.__getitem__
-        return list(zip(*[map(read, col) for col in hnf_reduce_columns(scaled, cols)]))
+        return list(zip(*[map(read, col) for col in cols]))
+
+    def _codes(self, level, den, cols):
+        """``sum_codes``'s pair for a batch of numerators over den: the
+        reduced vectors as tuples of ints, zipped from the columns as they
+        are read, and ``_decode`` of the columns of the codes it is
+        given."""
+        return zip(*self._reduce(level, den, cols)), lambda codes: self._decode(den, zip(*codes))
 
     def _solve_shifts(self, s, level):
         """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
@@ -838,26 +883,23 @@ class MatrixFamily(PairFamily):
         v = [x.numerator * (q // x.denominator) for x in n]
         base = [sum(a * b for a, b in zip(row, v)) for row in adj]
         cols = [[b + q * c for c in col] for b, col in zip(base, shifts)]
-        return self._decode(level, q * count, cols)
+        den = q * count
+        return self._decode(den, self._reduce(level, den, cols))
 
-    def translate(self, x, keys, level=None):
-        den = math.lcm(*(c.denominator for c in x), *(c.denominator for k in keys for c in k))
-        shift = [c.numerator * (den // c.denominator) for c in x]
+    def sum_codes(self, xs, ys, level=None):
+        den = math.lcm(*(c.denominator for k in (*xs, *ys) for c in k))
         cols = [
-            [c.numerator * (den // c.denominator) + t for c in col]
-            for col, t in zip(zip(*keys), shift)
+            [a + b for a in xc for b in yc]
+            for xc, yc in zip(_numerators(xs, den), _numerators(ys, den))
         ]
-        return self._decode(level, den, cols)
+        return self._codes(level, den, cols)
 
-    def psi_inv_keys(self, s, keys, level=None):
+    def psi_inv_codes(self, s, keys):
         self.validate_s(s)
-        coords = list(zip(*keys))
-        if not coords:
-            return []
-        den = math.lcm(*(c.denominator for col in coords for c in col))
-        cols = [[c.numerator * (den // c.denominator) for c in col] for col in coords]
+        den = math.lcm(*(c.denominator for k in keys for c in k))
+        cols = _numerators(keys, den)
         image = []
-        for row in self._matrix_power(s):
+        for row in self._matrix_power(s) if cols else ():
             acc = None
             for a, col in zip(row, cols):
                 if a:
@@ -865,7 +907,7 @@ class MatrixFamily(PairFamily):
                         x + a * c for x, c in zip(acc, col)
                     ]
             image.append(acc)
-        return self._decode(level, den, image)
+        return self._codes(None, den, image)
 
     def index(self, s) -> int:
         self.validate_s(s)

@@ -193,13 +193,15 @@ def regular_covariant(
 
     def apply_Vstar(s, v: SparseVector) -> SparseVector:
         """Many-to-one: the index(s) keys of one ``solve_coset`` set all go
-        to the same key, so their values are summed by ``merge``.  The
-        keys are moved as one ``psi_inv_keys`` batch."""
+        to the same key, so their values are summed by ``accumulate``, the
+        merge of ``SparseVector.merge``.  The keys are moved as one
+        ``psi_inv_codes`` batch, summed by code, and only the codes that
+        survive are decoded into keys."""
         family.validate_s(s)
         w = 1.0 / math.sqrt(family.index(s))
-        return SparseVector.merge(
-            zip(family.psi_inv_keys(s, v.values), [c * w for c in v.values.values()])
-        )
+        codes, decode = family.psi_inv_codes(s, v.values)
+        sums = accumulate({}, zip(codes, [c * w for c in v.values.values()]))
+        return SparseVector(dict(zip(decode(sums), sums.values())))
 
     rep = CovariantRep(family, apply_Y, apply_V, apply_Vstar)
     if check:

@@ -220,10 +220,11 @@ def compose_corner(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> C
     docstring: one term at g = s^-1 t, at the identity level.
 
     With (s', t') = ``g_reduce(g)``, each a_n / index(t') sits on the
-    cosets of psi_s^-1(n) + psi_t'(M): ``translate`` of the level-t'
-    solutions at 0 by psi_s^-1(n), the translates taken from one
-    ``psi_inv_keys`` batch.  Terms of a on one coset of psi_t'(M) merge
-    through ``coeffs.accumulate``, and an element that cancels is empty.
+    cosets of psi_s^-1(n) + psi_t'(M): the level-t' solutions at 0
+    translated by psi_s^-1(n), all in one ``sum_codes`` batch of the
+    ``psi_inv_keys`` images and those solutions.  Terms of a on one coset
+    of psi_t'(M) merge by code through ``coeffs.accumulate``, only the
+    surviving codes are decoded, and an element that cancels is empty.
     It raises LevelCapError when s exceeds the cap, as the product
     definition does through ``theta_star_inv``."""
     family.validate_s(s)
@@ -239,11 +240,9 @@ def _corner_term(fam: PairFamily, s, a: grpalg.GroupAlgebraElement, tp) -> LocFu
     cosets = fam.solve_coset(tp, fam.n_identity)
     w = Fraction(1, fam.index(tp))
     weighted = [c * w for c in a.values.values()]
-    return LocFun(fam, fam.s_identity, accumulate({}, (
-        (key, v)
-        for x, v in zip(fam.psi_inv_keys(s, a.values), weighted)
-        for key in fam.translate(x, cosets)
-    )))
+    codes, decode = fam.sum_codes(fam.psi_inv_keys(s, a.values), cosets)
+    sums = accumulate({}, zip(codes, (v for v in weighted for _ in cosets)))
+    return LocFun(fam, fam.s_identity, dict(zip(decode(sums), sums.values())))
 
 
 def module_element(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> CrossedElement:

@@ -152,14 +152,15 @@ def qc_route_convolve(f, g):
     """Convolution as ``QC`` products merged by ``LocFun.build`` at the meet
     level and refined to the join: the route convolve took before it
     summed integer numerators, kept as the oracle for values and key
-    order."""
+    order.  Its keys are Fraction sums reduced by ``canon``, not the
+    integer codes convolve sums under."""
     fam = f.family
     m = fam.s_meet(f.level, g.level)
     w = Fraction(1, fam.index(fam.s_join(f.level, g.level)))
     pairs = [
-        (key, va * w * vb)
+        (fam.canon(fam.n_add(ca, cb), m), va * w * vb)
         for ca, va in f.values.items()
-        for key, vb in zip(fam.translate(ca, g.values, m), g.values.values())
+        for cb, vb in g.values.items()
     ]
     return LocFun.build(fam, m, pairs).refine(f.common_level(g))
 
@@ -176,6 +177,7 @@ def rand_mixed(fam, level, sample, rng, terms):
 
 def test_convolve_matches_qc_route_with_key_order():
     rng = random.Random(29)
+    returned = set()
     for fam, s, t, sample in _meet_cases():
         levels = (fam.s_identity, s, t, fam.s_meet(s, t))
         for make in (rand_at, rand_mixed):
@@ -185,6 +187,23 @@ def test_convolve_matches_qc_route_with_key_order():
                 got, want = convolve(f, g), qc_route_convolve(f, g)
                 assert got.level == want.level
                 assert list(got.values.items()) == list(want.values.items())
+        # A cell that cancels and comes back: at the meet level m, key 0
+        # gets 1, then -1 (its cell is deleted), then 1 again, appended
+        # last; d and -d cancel for good.
+        m = fam.s_meet(s, t)
+        for _ in range(3):
+            d = sample(rng)
+            two = fam.n_add(d, d)
+            zero, minus, minus2 = fam.n_identity, fam.n_neg(d), fam.n_neg(two)
+            if len({fam.canon(x, m) for x in (zero, d, two, minus, minus2)}) < 5:
+                continue
+            f = LocFun.build(fam, m, [(zero, 1), (minus, -1), (minus2, 1)])
+            g = LocFun.build(fam, m, [(x, QC(1, 1)) for x in (zero, d, two)])
+            got = list(convolve(f, g).values.items())
+            assert got == list(qc_route_convolve(f, g).values.items())
+            assert [k for k, _ in got] == [fam.canon(x, m) for x in (two, minus2, zero)]
+            returned.add(id(fam))
+    assert len(returned) == len(_meet_cases())
 
 
 def test_convolve_cell_that_cancels_and_returns(bc):

@@ -4,6 +4,7 @@ Derived values are frozen from independent brute-force oracles defined at
 the top of this module; the oracles never call the code paths they check.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -600,17 +601,38 @@ def test_solve_coset_matches_fraction_route(case):
     got = fam.solve_coset(s, n, level)
     assert got == want
     assert _types(got) == _types(want) and _fraction_coded(fam, got)
+    # canon shares the HNF reduction with solve_coset; psi_s^-1 of each
+    # solution must also lie in n's coset by a membership test.
+    assert all(fam.in_level_subgroup(fam.n_add(fam.psi_s_inv(s, m), fam.n_neg(n)), a) for m in got)
     if level is None:
         assert fam.solve_coset(s, n, fam.s_identity) == got
+
+
+def _check_codes(fam, codes, decode, want):
+    """The kernel contract: ``decode`` gives the Fraction route's keys in
+    order, coded as Fractions, on the whole batch and on any selection of
+    codes, and equal codes go with equal keys and only with them.  codes
+    is read once, as the callers read it."""
+    codes = list(codes)
+    got = decode(codes)
+    assert got == want and _fraction_coded(fam, got)
+    assert len(codes) == len(want)
+    for i, j in itertools.product(range(len(codes)), repeat=2):
+        assert (codes[i] == codes[j]) == (want[i] == want[j])
+    distinct = list(dict.fromkeys(codes))
+    assert decode(distinct) == list(dict.fromkeys(want))
+    assert decode(reversed(distinct)) == list(reversed(decode(distinct)))
+    return got
 
 
 @given(oracle_cases(), st.data())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_translate_matches_fraction_route(case, data):
-    """translate equals canon(n_add(k, x), level) key by key, in order, and
-    codes every output coordinate as a Fraction.  (canon keeps an int for
-    an all-int input, as test_canonical_idempotent_* pin; translate's
-    outputs are keys, and keys are Fractions.)"""
+    """translate, and sum_codes on batches of several rows, equal
+    canon(n_add(x, y), level) pair by pair, x outer and y inner, and code
+    every output coordinate as a Fraction.  (canon keeps an int for an
+    all-int input, as test_canonical_idempotent_* pin; the outputs are
+    keys, and keys are Fractions.)"""
     fam, _, level, x = case
     levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
     keys = data.draw(st.lists(n_elements(fam, levels), max_size=6))
@@ -618,6 +640,19 @@ def test_translate_matches_fraction_route(case, data):
     got = fam.translate(x, keys, level)
     assert got == want and _fraction_coded(fam, got)
     assert [fam.canon(k, level) for k in got] == got
+    xs = [x] + data.draw(st.lists(n_elements(fam, levels), max_size=3))
+    # Repeats make equal sums from distinct pairs.
+    ys = keys + data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else keys
+    want = [fam.canon(fam.n_add(a, b), level) for a in xs for b in ys]
+    codes, decode = fam.sum_codes(xs, ys, level)
+    got = _check_codes(fam, codes, decode, want)
+    # canon reduces through the same HNF steps as the kernel, so check the
+    # cosets apart from it: key - (x + y) lies in the level subgroup.
+    a = fam.s_identity if level is None else level
+    sums = [fam.n_add(x, y) for x in xs for y in ys]
+    assert all(fam.in_level_subgroup(fam.n_add(k, fam.n_neg(z)), a) for k, z in zip(got, sums))
+    for empty in (fam.sum_codes([], ys, level), fam.sum_codes(xs, [], level)):
+        assert list(empty[0]) == [] and empty[1]([]) == []
 
 
 # --- one Fraction per coordinate code in the matrix family ----------------------
@@ -672,15 +707,20 @@ def test_fraction_table_holds_far_fewer_entries_than_keys():
 @given(oracle_cases(), st.data())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_psi_inv_keys_matches_fraction_route(case, data):
-    """psi_inv_keys equals canon(psi_s_inv(s, k), level) key by key, in
-    order, at the identity level and deeper ones, codes every output
-    coordinate as a Fraction and returns keys canonical at the level; an
-    empty batch gives an empty list."""
-    fam, s, level, _ = case
+    """psi_inv_keys and psi_inv_codes equal canon(psi_s_inv(s, k)) key by
+    key, in order, code every output coordinate as a Fraction and give
+    canonical keys; equal codes go with equal keys; an empty batch gives
+    an empty list."""
+    fam, s, _, _ = case
     levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
     keys = data.draw(st.lists(n_elements(fam, levels), max_size=8))
-    want = [fam.canon(fam.psi_s_inv(s, k), level) for k in keys]
-    got = fam.psi_inv_keys(s, keys, level)
+    keys += data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
+    want = [fam.canon(fam.psi_s_inv(s, k)) for k in keys]
+    got = fam.psi_inv_keys(s, keys)
     assert got == want and _fraction_coded(fam, got)
-    assert [fam.canon(k, level) for k in got] == got
-    assert fam.psi_inv_keys(s, [], level) == []
+    assert [fam.canon(k) for k in got] == got
+    codes, decode = fam.psi_inv_codes(s, keys)
+    _check_codes(fam, codes, decode, want)
+    assert fam.psi_inv_keys(s, []) == []
+    codes, decode = fam.psi_inv_codes(s, [])
+    assert list(codes) == [] and decode([]) == []

@@ -333,6 +333,65 @@ def test_vstar_sums_a_solution_set_onto_one_key(fam):
             assert abs(out.values[fam.canon(n)] - root) < TOL * root
 
 
+def vstar_by_fractions(fam, s, v: SparseVector) -> SparseVector:
+    """V_s^* as a merge keyed by the Fraction route canon(psi_s_inv(s, k)),
+    the reference for apply_Vstar's integer codes."""
+    w = 1.0 / math.sqrt(fam.index(s))
+    return SparseVector.merge((fam.canon(fam.psi_s_inv(s, k)), c * w) for k, c in v.values.items())
+
+
+def _bits(v: SparseVector):
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in v.values.items()]
+
+
+def _colliding_vector(fam, rng, s, tags=(None,)) -> SparseVector:
+    """Solution sets of a few cosets at level s, so that V_s^* sends many
+    keys onto one.  The first set starts with x and -x, so its image
+    cancels; the rest is shuffled, so a later key of that set brings the
+    image back behind others.  Keys are (tag, coset) pairs for a
+    ``direct_sum`` carrier."""
+    vals = (1 + 0j, -1 + 0j, 0.5j, -0.5j, 0.25 - 0.75j, -0.25 + 0.75j)
+    pairs = []
+    for tag in tags:
+        sols = [fam.solve_coset(s, n) for n in dict.fromkeys(random_cosets(fam, rng, 3))]
+        x = rng.choice(vals)
+        head = list(zip(sols[0], (x, -x)))
+        rest = [(m, rng.choice(vals)) for sol in sols for m in sol][len(head):]
+        rng.shuffle(rest)
+        pairs += [(m if tag is None else (tag, m), c) for m, c in head + rest]
+    return SparseVector.merge(pairs)
+
+
+@pytest.mark.parametrize("fam", _four_families()[:3], ids=FAMILY_IDS[:3])
+def test_apply_vstar_matches_fraction_route(fam):
+    """apply_Vstar sums under integer codes and decodes once; it must give
+    the Fraction-keyed merge's keys, in its order, with the same complex
+    bits, on the regular pair and on a direct sum."""
+    rep = regular_covariant(fam, check=False)
+    two = direct_sum(rep, rep)
+    rng = random.Random(71)
+    returned = 0
+    for _ in range(4):
+        for s in fam.sample_levels():
+            v = _colliding_vector(fam, rng, s)
+            want = vstar_by_fractions(fam, s, v)
+            assert _bits(rep.apply_Vstar(s, v)) == _bits(want)
+            first = fam.canon(fam.psi_s_inv(s, next(iter(v.values))))
+            returned += list(want.values).index(first) > 0 if first in want.values else 0
+            both = _colliding_vector(fam, rng, s, tags="ab")
+            parts = [
+                vstar_by_fractions(fam, s, SparseVector(
+                    {k: c for (t, k), c in both.values.items() if t == tag}
+                ))
+                for tag in "ab"
+            ]
+            want = SparseVector(
+                {(tag, k): c for tag, part in zip("ab", parts) for k, c in part.values.items()}
+            )
+            assert _bits(two.apply_Vstar(s, both)) == _bits(want)
+    assert returned > 0
+
+
 def test_random_cosets_are_canonical():
     rng = random.Random(61)
     for fam in _four_families():
