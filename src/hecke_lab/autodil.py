@@ -91,13 +91,12 @@ class LocFun:
             )
         fam.require_level(t)
         # The level-t cosets below one level-s coset are disjoint from those
-        # below another, so the dict is filled directly.
+        # below another, so the dict is filled directly, from one
+        # ``sum_codes`` batch, cells outer and splitters inner.
         splitters = [fam.psi_s_inv(self.level, m) for m in fam.coset_reps(r)]
-        values = {}
-        for c, v in self.values.items():
-            for key in fam.translate(c, splitters, t):
-                values[key] = v
-        out = LocFun(fam, t, values)
+        codes, decode = fam.sum_codes(self.values, splitters, t)
+        spread = [v for v in self.values.values() for _ in splitters]
+        out = LocFun(fam, t, dict(zip(decode(codes), spread)))
         self._refined[t] = out
         return out
 

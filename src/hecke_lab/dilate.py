@@ -43,17 +43,15 @@ class DilationVector:
     @staticmethod
     def build(pairs) -> "DilationVector":
         """Sum the blocks level by level: the blocks of one level are
-        merged by one ``SparseVector.merge``, in the order given, and levels
+        merged by one ``SparseVector.sum``, in the order given, and levels
         whose sum is empty are dropped."""
         levels: dict = {}
         for s, h in pairs:
             levels.setdefault(s, []).append(h)
         out = {}
         for s, hs in levels.items():
-            h = hs[0] if len(hs) == 1 else SparseVector.merge(
-                kc for x in hs for kc in x.values.items()
-            )
-            if h.values:
+            h = hs[0] if len(hs) == 1 else SparseVector.sum(hs)
+            if h:
                 out[s] = h
         return DilationVector(out)
 
@@ -66,7 +64,7 @@ class DilationVector:
         out = dict(self.blocks)
         for s, h in other.blocks.items():
             out[s] = out.get(s, _EMPTY) - h
-        return DilationVector({s: h for s, h in out.items() if h.values})
+        return DilationVector({s: h for s, h in out.items() if h})
 
     def scale(self, c) -> "DilationVector":
         return DilationVector.build((s, h.scale(c)) for s, h in self.blocks.items())
@@ -120,10 +118,8 @@ class Dilation:
         for s in levels[1:]:
             top = fam.s_join(top, s)
         fam.require_level(top)
-        total = SparseVector.merge(
-            kc
-            for s, h in v.blocks.items()
-            for kc in self.rep.apply_V(fam.s_divide(top, s), h).values.items()
+        total = SparseVector.sum(
+            self.rep.apply_V(fam.s_divide(top, s), h) for s, h in v.blocks.items()
         )
         return DilationVector.symbol(top, total)
 

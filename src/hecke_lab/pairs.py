@@ -41,13 +41,24 @@ is the same object wherever it recurs:
   families, and for ``matrix`` the tuple of numerators that the HNF of A_a
   scaled by L reduces as one batch.  Its ``decode`` builds keys only for
   the codes it is given, so a caller that sums over pairs groups them by
-  code and builds one key per distinct output: ``autodil.convolve``,
-  ``xprod.compose_corner`` and the regular pair's V_s^*.
+  code and builds one key per distinct output (``autodil.convolve``,
+  ``xprod.compose_corner``), and ``LocFun.refine`` decodes all its cells
+  and splitters as one batch.
 * ``psi_inv_codes(s, keys)`` codes canon(psi_s^-1(k)) the same way: it
   multiplies the numerators by index(s) for the scalar families and by A_s
   for ``matrix``, and reduces mod L.
 * ``translate(x, keys, a)`` and ``psi_inv_keys(s, keys)`` are those two
   kernels on one row, decoded.
+* ``encode(keys)`` gives each N/M key one carrier code that does not
+  depend on the batch: (p, q), the key p/q in lowest terms, for the scalar
+  families, and (n_1, ..., n_d, L) with L the least common denominator
+  for ``matrix``; ``decode`` turns codes back into keys.
+  ``repspace.SparseVector`` keeps the regular pair's vectors under these
+  codes, and ``code_add``, ``code_solve`` and ``code_psi_inv`` (Y_n, V_s
+  and V_s^*) map codes to codes with no Fraction built or hashed.  The
+  solutions of p/q are (p + k*q, q*index(s)); ``matrix`` solves with the
+  ``_solve_shifts`` columns mod q*index(s), translates and applies A_s
+  mod each key's L.  Each output is put in lowest terms by one gcd.
 
 ``psi_reps`` with ``n_add`` and ``canon``, and ``psi_s_inv`` with
 ``canon``, are the Fraction routes that the tests compare these against.
@@ -56,6 +67,7 @@ is the same object wherever it recurs:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -325,6 +337,38 @@ class PairFamily:
         codes, decode = self.psi_inv_codes(s, keys)
         return decode(codes)
 
+    # -- carrier codes: N/M keys as tuples of ints ----------------------------
+
+    def encode(self, keys):
+        """The carrier code of each key, in order: (p, q) for the key p/q in
+        lowest terms in the scalar families, and (n_1, ..., n_d, L) for the
+        key (n_1/L, ..., n_d/L) of ``matrix``, L the least common
+        denominator.  Unlike ``sum_codes``'s, a code does not depend on the
+        batch: equal keys have equal codes, int-typed coordinates
+        included, and only equal keys do.  No Fraction is built."""
+        raise NotImplementedError
+
+    def decode(self, codes):
+        """The keys of carrier codes, in order: Fractions, tuples of them
+        for ``matrix``."""
+        raise NotImplementedError
+
+    def code_add(self, n, codes):
+        """The codes of canon(k + n), for the keys k of codes, in order:
+        the regular pair's Y_n."""
+        raise NotImplementedError
+
+    def code_solve(self, s, codes):
+        """The codes of ``solve_coset(s, k)`` for the keys k of codes, one
+        block of index(s) codes per key, in transversal order: the regular
+        pair's V_s.  s is checked once."""
+        raise NotImplementedError
+
+    def code_psi_inv(self, s, codes):
+        """The codes of canon(psi_s_inv(s, k)), for the keys k of codes, in
+        order: the regular pair's V_s^*."""
+        raise NotImplementedError
+
     # -- caps ----------------------------------------------------------------
 
     def require_level(self, s):
@@ -473,6 +517,44 @@ class _RationalFamily(PairFamily):
         scale = self.index(s)
         codes = [k.numerator * (den // k.denominator) * scale % den for k in keys]
         return codes, _fraction_decoder(den)
+
+    def encode(self, keys):
+        return [(k.numerator, k.denominator) for k in keys]
+
+    def decode(self, codes):
+        return [Fraction(p, q) for p, q in codes]
+
+    def code_add(self, n, codes):
+        # p/q + a/b = (p*b + a*q) / (q*b), mod 1, then one gcd.
+        a, b = n.numerator, n.denominator
+        return [
+            (r // g, den // g)
+            for p, q in codes
+            for den in (q * b,)
+            for r in ((p * b + a * q) % den,)
+            for g in (math.gcd(r, den),)
+        ]
+
+    def code_solve(self, s, codes):
+        # The solutions of p/q are (p + k*q) / (q*index(s)), k < index(s),
+        # as in _solve at the identity level; p % q makes p/q canonical.
+        count = self._enumerable_index(s)
+        return [
+            (m // g, den // g)
+            for p, q in codes
+            for den in (q * count,)
+            for m in range(p % q, den, q)
+            for g in (math.gcd(m, den),)
+        ]
+
+    def code_psi_inv(self, s, codes):
+        scale = self.index(s)
+        return [
+            (r // g, q // g)
+            for p, q in codes
+            for r in (p * scale % q,)
+            for g in (math.gcd(r, q),)
+        ]
 
     def random_M(self, rng):
         return Fraction(rng.randint(-20, 20))
@@ -685,6 +767,16 @@ def _numerators(keys, den):
     """The keys' coordinates as integer numerators over den, in column
     layout: one list per coordinate."""
     return [[c.numerator * (den // c.denominator) for c in col] for col in zip(*keys)]
+
+
+def _lowest(cols, dens):
+    """The carrier codes (n_1, ..., n_d, L) of numerator vectors over the
+    denominators dens, the vectors given in column layout: each reduced to
+    lowest terms by one gcd."""
+    return [
+        code if (g := math.gcd(*code)) == 1 else tuple([x // g for x in code])
+        for code in zip(*cols, dens)
+    ]
 
 
 def _int_matrix(rows):
@@ -908,6 +1000,70 @@ class MatrixFamily(PairFamily):
                     ]
             image.append(acc)
         return self._codes(None, den, image)
+
+    def encode(self, keys):
+        # Over the least common denominator the numerators have gcd 1.
+        out = []
+        for k in keys:
+            den = math.lcm(*(c.denominator for c in k))
+            out.append((*(c.numerator * (den // c.denominator) for c in k), den))
+        return out
+
+    def decode(self, codes):
+        """Coordinates are read from ``_fraction_cache``'s tables, as in
+        ``_decode``, so equal coordinates are one object."""
+        tables = self._fraction_cache
+        out = []
+        for *nums, den in codes:
+            table = tables.get(den)
+            if table is None:
+                table = tables[den] = _FractionTable(den)
+            out.append(tuple(map(table.__getitem__, nums)))
+        return out
+
+    def code_add(self, n, codes):
+        # k/L + a/b = (k*b + a*L) / (L*b) per coordinate, mod 1.
+        b = math.lcm(*(c.denominator for c in n))
+        shift = [c.numerator * (b // c.denominator) for c in n]
+        if not codes:
+            return []
+        *cols, dens = zip(*codes)
+        moved = [den * b for den in dens]
+        cols = [
+            [(k * b + a * den) % m for k, den, m in zip(col, dens, moved)]
+            for a, col in zip(shift, cols)
+        ]
+        return _lowest(cols, moved)
+
+    def code_solve(self, s, codes):
+        # _solve at the identity level, where the HNF reduction by the
+        # scaled unit matrix is a mod den per coordinate; v % q makes v/q
+        # canonical, as solve_coset's canon does.
+        count = self._enumerable_index(s)
+        adj, shifts = self._solve_shifts(s, None)
+        out = []
+        for *v, q in codes:
+            v = [x % q for x in v]
+            den = q * count
+            base = [sum(a * x for a, x in zip(row, v)) for row in adj]
+            cols = [[(b + q * c) % den for c in col] for b, col in zip(base, shifts)]
+            out += _lowest(cols, itertools.repeat(den))
+        return out
+
+    def code_psi_inv(self, s, codes):
+        # psi_inv_codes per key: A_s times the numerators, mod each key's L.
+        self.validate_s(s)
+        if not codes:
+            return []
+        *cols, dens = zip(*codes)
+        image = []
+        for row in self._matrix_power(s):
+            acc = [0] * len(dens)
+            for a, col in zip(row, cols):
+                if a:
+                    acc = [x + a * c for x, c in zip(acc, col)]
+            image.append([x % den for x, den in zip(acc, dens)])
+        return _lowest(image, dens)
 
     def index(self, s) -> int:
         self.validate_s(s)

@@ -13,6 +13,13 @@ so each Y is unitary, each V_s is a genuine non-unitary isometry, and the
 covariance relation  V_s Y_n V_s* = index(s)^-1 * sum Y_m  holds on the
 nose.  Inner products are linear in the first slot.
 
+The regular pair's vectors store their keys as carrier codes, the tuples
+of ints of ``PairFamily.encode``: the operators compute images code to
+code (``code_add``, ``code_solve``, ``code_psi_inv``), and sums, inner
+products and distances compare codes, so no Fraction is hashed.
+``SparseVector.values``, the Fraction-keyed dict, is decoded once, when
+it is first read.
+
 Every covariant pair also satisfies the un-averaged relation
 
     Y_(psi_s(n)) V_s = V_s Y_n.
@@ -49,7 +56,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from .coeffs import accumulate
@@ -57,7 +65,6 @@ from .errors import ConfigError
 from .pairs import PairFamily
 
 
-@dataclass(frozen=True, eq=False)
 class SparseVector:
     """Finitely supported complex vector over hashable basis keys.
 
@@ -68,9 +75,50 @@ class SparseVector:
     sum written as one ``build`` equals, value for value, the same sum
     written as ``total = total + x``.  Code that constructs a vector
     directly must keep the invariant itself.
+
+    Storage: one dict of stored keys.  A vector built from a dict, or by
+    ``build`` and ``merge``, stores the keys it is given ("plain").  The
+    regular pair's operators store carrier codes instead ("coded"): the
+    family's ``encode`` of each key, a tuple of ints, tagged by summand on
+    a ``direct_sum`` carrier, so that no operator hashes a Fraction.  The
+    public ``values`` is the key-to-value dict: for a coded vector it is
+    decoded on first read and cached, with the keys, key order and values
+    of the plain dict.  Arithmetic, ``inner``, ``norm`` and ``distance``
+    run on the stored dicts and never decode; a plain operand that meets a
+    coded one is encoded, which builds no Fraction.  Codes are injective,
+    so keys match, and are visited, exactly as they would be in plain
+    dicts, and every float sum is the same bit for bit.  ``values`` must
+    not be changed in place.
     """
 
-    values: dict = field(default_factory=dict)
+    __slots__ = ("_data", "_codec", "_values")
+
+    def __init__(self, values=None):
+        self._data = self._values = {} if values is None else values
+        self._codec = None
+
+    @staticmethod
+    def _make(data: dict, codec) -> "SparseVector":
+        """A vector that stores data, coded by codec (None: plain keys)."""
+        v = object.__new__(SparseVector)
+        v._data, v._codec = data, codec
+        v._values = data if codec is None else None
+        return v
+
+    @property
+    def values(self) -> dict:
+        out = self._values
+        if out is None:
+            data = self._data
+            out = self._values = dict(zip(self._codec.decode(data), data.values()))
+        return out
+
+    def __len__(self):
+        """The number of stored keys; a vector is false when it is zero."""
+        return len(self._data)
+
+    def __repr__(self):
+        return f"SparseVector({self.values!r})"
 
     @staticmethod
     def basis(key) -> "SparseVector":
@@ -89,37 +137,51 @@ class SparseVector:
         cent."""
         return SparseVector(accumulate({}, pairs))
 
+    @staticmethod
+    def combine(terms) -> "SparseVector":
+        """The sum of c*v over (c, v) terms, merged key by key in order as
+        ``merge`` does; c None adds v as it is, without a product."""
+        terms = list(terms)
+        codec, dicts = _align([v for _, v in terms])
+        pairs = [
+            d.items() if c is None else [(k, x * c) for k, x in d.items()]
+            for (c, _), d in zip(terms, dicts)
+        ]
+        return SparseVector._make(accumulate({}, chain.from_iterable(pairs)), codec)
+
+    @staticmethod
+    def sum(vectors) -> "SparseVector":
+        return SparseVector.combine((None, v) for v in vectors)
+
     def __add__(self, other):
         # The copy reuses the stored hashes of the left operand's keys.
-        return SparseVector(accumulate(dict(self.values), other.values.items()))
+        codec, (a, b) = _align((self, other))
+        return SparseVector._make(accumulate(dict(a), b.items()), codec)
 
     def __sub__(self, other):
-        return SparseVector(
-            accumulate(dict(self.values), ((k, -v) for k, v in other.values.items()))
-        )
+        codec, (a, b) = _align((self, other))
+        return SparseVector._make(accumulate(dict(a), ((k, -v) for k, v in b.items())), codec)
 
     def scale(self, c) -> "SparseVector":
         c = complex(c)
         if c == 0:
             return SparseVector({})
-        return SparseVector({k: x for k, v in self.values.items() if (x := v * c)})
+        return SparseVector._make(
+            {k: x for k, v in self._data.items() if (x := v * c)}, self._codec
+        )
 
     def inner(self, other: "SparseVector") -> complex:
-        if len(other.values) < len(self.values):
-            return other.inner(self).conjugate()
-        total = 0j
-        for k, v in self.values.items():
-            w = other.values.get(k)
-            if w is not None:
-                total += v * w.conjugate()
-        return total
+        _, (a, b) = _align((self, other))
+        if len(b) < len(a):
+            return _inner(b, a).conjugate()
+        return _inner(a, b)
 
     def norm(self) -> float:
         """sqrt(<v, v>) without dict lookups.  The loop adds the same terms
         in the same order as ``inner(self).real`` and so is bit for bit
         equal to it (``sum`` of floats may round differently)."""
         total = 0.0
-        for v in self.values.values():
+        for v in self._data.values():
             total += v.real * v.real + v.imag * v.imag
         return math.sqrt(total)
 
@@ -129,10 +191,10 @@ class SparseVector:
         other's keys that self lacks), so bit for bit equal to it.  A key
         whose difference is zero adds 0.0 where the difference drops it.
         other's keys are looked up again only when some are unmatched."""
-        theirs = other.values
+        _, (mine, theirs) = _align((self, other))
         total = 0.0
         matched = 0
-        for k, x in self.values.items():
+        for k, x in mine.items():
             y = theirs.get(k)
             if y is not None:
                 matched += 1
@@ -140,18 +202,72 @@ class SparseVector:
             total += x.real * x.real + x.imag * x.imag
         if matched < len(theirs):
             for k, y in theirs.items():
-                if k not in self.values:
+                if k not in mine:
                     total += y.real * y.real + y.imag * y.imag
         return math.sqrt(total)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.values.values())
+        return all(abs(v) <= tol for v in self._data.values())
 
     def to_json(self, family: PairFamily):
         return [
             {"coset": family.n_to_json(k), "re": complex(v).real, "im": complex(v).imag}
             for k, v in sorted(self.values.items())
         ]
+
+
+def _inner(a: dict, b: dict) -> complex:
+    total = 0j
+    for k, v in a.items():
+        w = b.get(k)
+        if w is not None:
+            total += v * w.conjugate()
+    return total
+
+
+def _encoded(codec, data: dict) -> dict:
+    return dict(zip(codec.encode(data), data.values()))
+
+
+def _stored(v: SparseVector, codec) -> dict:
+    """v's stored dict, keyed by codec's codes."""
+    if v._codec is codec or v._codec == codec:
+        return v._data
+    return _encoded(codec, v._data if v._codec is None else v.values)
+
+
+def _align(vectors):
+    """(codec, dicts): the stored dicts of vectors in one key space.  Plain
+    operands take the codec of the coded ones and are encoded; vectors
+    coded by unequal codecs are all read through ``values``, plain."""
+    codec = None
+    for v in vectors:
+        if v._data and v._codec is not None and v._codec is not codec:
+            if codec is None:
+                codec = v._codec
+            elif v._codec != codec:
+                return None, [v.values for v in vectors]
+    if codec is None:
+        return None, [v._data for v in vectors]
+    return codec, [
+        _encoded(codec, v._data) if v._data and v._codec is None else v._data for v in vectors
+    ]
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """The codec of a ``direct_sum`` carrier: the key (tag, k) has the
+    code (tag, code of k) under the summands' codec."""
+
+    inner: object
+
+    def encode(self, keys):
+        keys = list(keys)
+        return list(zip([t for t, _ in keys], self.inner.encode([k for _, k in keys])))
+
+    def decode(self, codes):
+        codes = list(codes)
+        return list(zip([t for t, _ in codes], self.inner.decode([c for _, c in codes])))
 
 
 @dataclass(frozen=True)
@@ -175,33 +291,31 @@ def regular_covariant(
     def apply_Y(n, v: SparseVector) -> SparseVector:
         """Translation by n is a bijection of N/M: distinct keys go to
         distinct keys, so the dict is filled directly."""
-        return SparseVector(dict(zip(family.translate(n, v.values), v.values.values())))
+        d = _stored(v, family)
+        return SparseVector._make(dict(zip(family.code_add(n, d), d.values())), family)
 
     def apply_V(s, v: SparseVector) -> SparseVector:
-        """Each key spreads over its ``solve_coset`` solutions; the solution
-        sets of distinct keys are disjoint, so the dict is filled directly.
-        A product that underflows to zero is dropped."""
-        family.validate_s(s)
-        w = 1.0 / math.sqrt(family.index(s))
-        out = {}
-        for k, c in v.values.items():
-            x = c * w
-            if x:
-                for m in family.solve_coset(s, k):
-                    out[m] = x
-        return SparseVector(out)
+        """Each key spreads over its ``solve_coset`` solutions, made as
+        codes by one ``code_solve`` batch; the solution sets of distinct
+        keys are disjoint, so the dict is filled directly.  A product that
+        underflows to zero is dropped."""
+        count = family.index(s)
+        w = 1.0 / math.sqrt(count)
+        kept = [(k, x) for k, c in _stored(v, family).items() if (x := c * w)]
+        codes = family.code_solve(s, [k for k, _ in kept])
+        return SparseVector._make(
+            dict(zip(codes, [x for _, x in kept for _ in range(count)])), family
+        )
 
     def apply_Vstar(s, v: SparseVector) -> SparseVector:
         """Many-to-one: the index(s) keys of one ``solve_coset`` set all go
         to the same key, so their values are summed by ``accumulate``, the
-        merge of ``SparseVector.merge``.  The keys are moved as one
-        ``psi_inv_codes`` batch, summed by code, and only the codes that
-        survive are decoded into keys."""
-        family.validate_s(s)
+        merge of ``SparseVector.merge``, under the codes of one
+        ``code_psi_inv`` batch."""
         w = 1.0 / math.sqrt(family.index(s))
-        codes, decode = family.psi_inv_codes(s, v.values)
-        sums = accumulate({}, zip(codes, [c * w for c in v.values.values()]))
-        return SparseVector(dict(zip(decode(sums), sums.values())))
+        d = _stored(v, family)
+        codes = family.code_psi_inv(s, d)
+        return SparseVector._make(accumulate({}, zip(codes, [c * w for c in d.values()])), family)
 
     rep = CovariantRep(family, apply_Y, apply_V, apply_Vstar)
     if check:
@@ -220,9 +334,7 @@ def verify_covariance(rep: CovariantRep, s, n, v: SparseVector) -> float:
     fam = rep.family
     lhs = rep.apply_V(s, rep.apply_Y(n, rep.apply_Vstar(s, v)))
     w = complex(1.0 / fam.index(s))
-    rhs = SparseVector.merge(
-        (k, x * w) for m in fam.solve_coset(s, n) for k, x in rep.apply_Y(m, v).values.items()
-    )
+    rhs = SparseVector.combine((w, rep.apply_Y(m, v)) for m in fam.solve_coset(s, n))
     return lhs.distance(rhs)
 
 
@@ -232,33 +344,41 @@ def average_projection(unitaries, v: SparseVector) -> SparseVector:
     if not unitaries:
         raise ConfigError("cannot average an empty family")
     w = complex(1.0 / len(unitaries))
-    return SparseVector.merge((k, x * w) for u in unitaries for k, x in u(v).values.items())
+    return SparseVector.combine((w, u(v)) for u in unitaries)
 
 
 def apply_algebra(rep: CovariantRep, a, v: SparseVector) -> SparseVector:
     """pi(a) v = sum of c_n Y_n v for a group-algebra element a = sum c_n delta_n."""
-    pairs = []
+    terms = []
     for n, c in a.values.items():
         c = complex(c)
         if c:
-            pairs.extend((k, x * c) for k, x in rep.apply_Y(n, v).values.items())
-    return SparseVector.merge(pairs)
+            terms.append((c, rep.apply_Y(n, v)))
+    return SparseVector.combine(terms)
 
 
 def direct_sum(rep_a: CovariantRep, rep_b: CovariantRep) -> CovariantRep:
-    """Direct sum on vectors with ('a', coset) / ('b', coset) keys."""
+    """Direct sum on vectors with ('a', coset) / ('b', coset) keys.  A
+    vector coded by the summands' codec splits and joins on its tagged
+    codes, without decoding."""
     if rep_a.family != rep_b.family:
         raise ConfigError("direct sums need a common family")
 
     def split(v: SparseVector):
-        a = SparseVector({k[1]: c for k, c in v.values.items() if k[0] == "a"})
-        b = SparseVector({k[1]: c for k, c in v.values.items() if k[0] == "b"})
-        return a, b
+        if type(v._codec) is _Tagged:
+            data, codec = v._data, v._codec.inner
+        else:
+            data, codec = v.values, None
+        return tuple(
+            SparseVector._make({k[1]: c for k, c in data.items() if k[0] == tag}, codec)
+            for tag in "ab"
+        )
 
     def join(a: SparseVector, b: SparseVector) -> SparseVector:
-        out = {("a", k): c for k, c in a.values.items()}
-        out.update({("b", k): c for k, c in b.values.items()})
-        return SparseVector(out)
+        codec, (da, db) = _align((a, b))
+        out = {("a", k): c for k, c in da.items()}
+        out.update({("b", k): c for k, c in db.items()})
+        return SparseVector._make(out, None if codec is None else _Tagged(codec))
 
     def lift(op_a, op_b):
         def apply(x, v):
@@ -281,7 +401,8 @@ def inclusion_intertwiner(tag: str = "a"):
     with the sum of itself and anything else."""
 
     def T(v: SparseVector) -> SparseVector:
-        return SparseVector({(tag, k): c for k, c in v.values.items()})
+        codec = None if v._codec is None else _Tagged(v._codec)
+        return SparseVector._make({(tag, k): c for k, c in v._data.items()}, codec)
 
     return T
 
@@ -294,10 +415,11 @@ def random_cosets(family: PairFamily, rng: random.Random, count: int, depth: int
 def random_vector(
     family: PairFamily, rng: random.Random, terms: int = 3, depth: int = 12
 ) -> SparseVector:
-    pairs = []
-    for k in random_cosets(family, rng, terms, depth):
-        pairs.append((k, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
-    return SparseVector.merge(pairs)
+    """A coded vector on random cosets, so that the operators it meets need
+    not encode it; a repeated coset sums its values, as in ``merge``."""
+    keys = random_cosets(family, rng, terms, depth)
+    values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in keys]
+    return SparseVector._make(accumulate({}, zip(family.encode(keys), values)), family)
 
 
 def _covariance_samples(family: PairFamily, rng: random.Random, trials: int):

@@ -312,10 +312,8 @@ def corner_decompose(d: CrossedElement):
 
 def eval_corner(rep: CovariantRep, triples, v: SparseVector) -> SparseVector:
     """Evaluate a sum of v_s^* i(a) v_t triples as V_s^* pi(a) V_t."""
-    return SparseVector.merge(
-        kc
-        for s, a, t in triples
-        for kc in rep.apply_Vstar(s, apply_algebra(rep, a, rep.apply_V(t, v))).values.items()
+    return SparseVector.sum(
+        rep.apply_Vstar(s, apply_algebra(rep, a, rep.apply_V(t, v))) for s, a, t in triples
     )
 
 
@@ -353,13 +351,12 @@ class InducedRep:
                 weight = 1.0 / fam.index(level)
                 target_s = fam.s_mul(level, sp)
                 fam.require_level(target_s)
-                pairs = []
                 cells = fam.psi_inv_keys(tp, inner.values)
-                for n, val in zip(cells, inner.values.values()):
-                    coeff = complex(val) * weight
-                    moved = self.rep.apply_Y(n, h)
-                    pairs.extend((k, x * coeff) for k, x in moved.values.items())
-                lifted = self.rep.apply_V(fam.s_mul(level, tp), SparseVector.merge(pairs))
+                moved = SparseVector.combine(
+                    (complex(val) * weight, self.rep.apply_Y(n, h))
+                    for n, val in zip(cells, inner.values.values())
+                )
+                lifted = self.rep.apply_V(fam.s_mul(level, tp), moved)
                 out.append((target_s, lifted))
         return DilationVector.build(out)
 

@@ -1,6 +1,7 @@
 """The scenario runner: suites, reports, determinism, and the console entry."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 from hecke_lab import cli
 from hecke_lab.errors import ConfigError
 from hecke_lab.cli import CheckReport, RunConfig, run, write_report, main
+from hecke_lab.pairs import MatrixFamily
+from hecke_lab.repspace import random_vector, regular_covariant
 
 
 def small_config(**kw):
@@ -230,3 +233,42 @@ def test_console_script_entrypoint():
     )
     assert result.returncode == 0
     assert "bost-connes" in result.stdout
+
+
+def test_dilation_checks_decode_no_carrier_vector(monkeypatch):
+    """The regular pair keeps its vectors under carrier codes from input to
+    verdict: on the matrix dilation suite at seed 1, the isometry,
+    covariance and inner-ore checks never read a coded vector's ``values``,
+    which is what calls the family's ``decode``."""
+    current = [None]
+    decodes = {}
+    decode = MatrixFamily.decode
+
+    def counting(self, codes):
+        decodes[current[0]] = decodes.get(current[0], 0) + 1
+        return decode(self, codes)
+
+    def tracked(check_id, fn):
+        def check(ctx):
+            current[0] = check_id
+            try:
+                return fn(ctx)
+            finally:
+                current[0] = None
+
+        return check
+
+    monkeypatch.setattr(MatrixFamily, "decode", counting)
+    monkeypatch.setattr(
+        cli, "CHECKS", [(*row[:4], tracked(row[0], row[4])) for row in cli.CHECKS]
+    )
+    matrix = {"family": "matrix", "F": [[2, 0], [0, 3]], "M": [[5, 0], [0, 1]]}
+    reports = run(RunConfig(family=matrix, suite="dilation", seed=1))
+    ids = {r.check_id: r.status for r in reports}
+    quiet = ("dilation.isometries", "dilation.covariance", "dilation.inner-ore")
+    assert all(ids[c] == "pass" for c in quiet)
+    assert not any(decodes.get(c) for c in quiet)
+    # The wrapper does see a read of values.
+    fam = MatrixFamily(matrix["F"], matrix["M"])
+    lifted = regular_covariant(fam, check=False).apply_V((1, 0), random_vector(fam, random.Random(1)))
+    assert lifted.values and decodes.get(None) == 1

@@ -4,6 +4,7 @@ Derived values are frozen from independent brute-force oracles defined at
 the top of this module; the oracles never call the code paths they check.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -724,3 +725,64 @@ def test_psi_inv_keys_matches_fraction_route(case, data):
     assert fam.psi_inv_keys(s, []) == []
     codes, decode = fam.psi_inv_codes(s, [])
     assert list(codes) == [] and decode([]) == []
+
+
+# --- carrier codes against the Fraction route ----------------------------------
+
+
+@contextlib.contextmanager
+def _fractions_built():
+    """Count the Fractions constructed inside the block, in ``count[0]``."""
+    count = [0]
+    original = vars(Fraction)["__new__"]
+    new = original.__func__ if isinstance(original, staticmethod) else original
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = original
+
+
+@given(oracle_cases(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_carrier_codes_match_fraction_route(case, data):
+    """``encode`` and ``decode`` round-trip keys, int-typed coordinates
+    included, and decode to Fractions; equal keys have equal codes and only
+    they do.  ``code_add``, ``code_solve`` and ``code_psi_inv`` decode to
+    ``translate``, ``solve_coset`` and ``psi_inv_keys``, in order, and give
+    the codes that ``encode`` gives those keys.  Neither the codes nor the
+    kernels build a Fraction once the family's caches are warm."""
+    fam, s, _, n = case
+    levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
+    keys = data.draw(st.lists(n_elements(fam, levels), max_size=6))
+    keys += data.draw(st.lists(st.sampled_from(keys), max_size=2)) if keys else []
+    keys += [fam.canon(k) for k in keys]
+    codes = fam.encode(keys)
+    outputs = [fam.code_add(n, codes), fam.code_solve(s, codes), fam.code_psi_inv(s, codes)]
+    # Again on the family's warm caches (powers of A_s, transversals).
+    with _fractions_built() as built:
+        assert fam.encode(keys) == codes
+        assert [fam.code_add(n, codes), fam.code_solve(s, codes), fam.code_psi_inv(s, codes)] == outputs
+    assert built[0] == 0
+    with _fractions_built() as built:
+        Fraction(1, 2)
+    assert built[0] == 1
+    back = fam.decode(codes)
+    assert back == keys and _fraction_coded(fam, back)
+    assert all(type(c) is int for code in codes for c in code)
+    for i, j in itertools.product(range(len(keys)), repeat=2):
+        assert (codes[i] == codes[j]) == (keys[i] == keys[j])
+    wants = [
+        fam.translate(n, keys),
+        [m for k in keys for m in fam.solve_coset(s, k)],
+        fam.psi_inv_keys(s, keys),
+    ]
+    for out, want in zip(outputs, wants):
+        got = fam.decode(out)
+        assert got == want and _fraction_coded(fam, got)
+        assert out == fam.encode(want)

@@ -5,6 +5,7 @@ V_2 xi_0 = (xi_0 + xi_half)/sqrt(2), and conjugating a translation by V_2
 averages the two square roots of the translating coset.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -425,6 +426,103 @@ def test_lift_commutes_with_translation(fam):
                     lhs = r.apply_V(s, r.apply_Y(n, x))
                     assert lhs.values
                     assert (lhs - r.apply_Y(m, r.apply_V(s, x))).norm() < TOL
+
+
+# -- carrier codes against the Fraction-keyed route ----------------------------
+
+
+def y_by_fractions(fam, n, v: SparseVector) -> SparseVector:
+    """Y_n on Fraction keys: ``translate``, filled directly."""
+    return SparseVector(dict(zip(fam.translate(n, list(v.values)), v.values.values())))
+
+
+def v_by_fractions(fam, s, v: SparseVector) -> SparseVector:
+    """V_s on Fraction keys: ``solve_coset`` per key, filled directly."""
+    w = 1.0 / math.sqrt(fam.index(s))
+    return SparseVector(
+        {m: x for k, c in v.values.items() if (x := c * w) for m in fam.solve_coset(s, k)}
+    )
+
+
+def vstar_by_keys(fam, s, v: SparseVector) -> SparseVector:
+    """V_s^* on Fraction keys: one ``psi_inv_keys`` batch, merged."""
+    w = 1.0 / math.sqrt(fam.index(s))
+    keys = fam.psi_inv_keys(s, list(v.values))
+    return SparseVector.merge(zip(keys, [c * w for c in v.values.values()]))
+
+
+def _plain(v: SparseVector) -> SparseVector:
+    """The same vector stored under its decoded keys."""
+    return SparseVector(dict(v.values))
+
+
+def _hex(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def _check_mixed_operands(vectors):
+    """+, -, inner and distance give the same keys, order and bits whether
+    each operand is stored coded or plain, with the all-plain result as the
+    reference; a sum's ``values`` are decoded once and then cached."""
+    for a, b in itertools.product(vectors, repeat=2):
+        pa, pb = _plain(a), _plain(b)
+        for x, y in ((a, b), (a, pb), (pa, b)):
+            total = x + y
+            assert _bits(total) == _bits(pa + pb) and total.values is total.values
+            assert _bits(x - y) == _bits(pa - pb)
+            assert _hex(x.inner(y)) == _hex(pa.inner(pb))
+            assert x.distance(y).hex() == pa.distance(pb).hex()
+
+
+@pytest.mark.parametrize("fam", _four_families(), ids=FAMILY_IDS)
+def test_regular_pair_on_codes_matches_fraction_route(fam):
+    """The regular pair and its ``direct_sum`` work on carrier codes; decoded,
+    their outputs are the Fraction-keyed ``translate``, ``solve_coset`` and
+    ``psi_inv_keys`` routes' keys, in order, with the same bits.  Coded and
+    plain operands mix in +, -, inner and distance without changing a bit."""
+    rep = regular_covariant(fam, check=False)
+    two = direct_sum(rep, rep)
+    T = inclusion_intertwiner("b")
+    rng = random.Random(79)
+    for _ in range(3):
+        v = random_vector(fam, rng, terms=4)  # coded
+        both = summed_vector(fam, rng)  # plain
+        parts = [
+            SparseVector({k: c for (t, k), c in both.values.items() if t == tag}) for tag in "ab"
+        ]
+        n = random_cosets(fam, rng, 1)[0]
+        y = rep.apply_Y(n, v)
+        assert _bits(y) == _bits(y_by_fractions(fam, n, v))
+        for s in fam.sample_levels()[:3]:
+            outs = [y]
+            for op, ref in (
+                (lambda x: rep.apply_Y(n, x), lambda x: y_by_fractions(fam, n, x)),
+                (lambda x: rep.apply_V(s, x), lambda x: v_by_fractions(fam, s, x)),
+                (
+                    lambda x: rep.apply_Vstar(s, rep.apply_V(s, x) + x),
+                    lambda x: vstar_by_keys(fam, s, v_by_fractions(fam, s, x) + x),
+                ),
+            ):
+                # A plain input, and a coded one.
+                assert _bits(op(_plain(v))) == _bits(ref(v))
+                outs.append(op(y))
+                assert _bits(outs[-1]) == _bits(ref(_plain(y)))
+            lifted = two.apply_V(s, both)
+            want = {
+                (tag, k): c
+                for tag, part in zip("ab", parts)
+                for k, c in v_by_fractions(fam, s, part).values.items()
+            }
+            assert _bits(lifted) == _bits(SparseVector(want))
+            back = two.apply_Vstar(s, lifted)
+            want = {
+                (tag, k): c
+                for tag, part in zip("ab", parts)
+                for k, c in vstar_by_keys(fam, s, v_by_fractions(fam, s, part)).values.items()
+            }
+            assert _bits(back) == _bits(SparseVector(want))
+            _check_mixed_operands(outs + [v])
+            _check_mixed_operands([lifted, back, two.apply_Y(n, both), T(outs[1]), both])
 
 
 # -- hashing and accumulation semantics ---------------------------------------
