@@ -14,20 +14,39 @@ original representation:
 Vector equality means distance zero under the induced form: the symbol
 space is a quotient by the Gram kernel, e.g. (t*s, V_t h) is the same
 vector as (s, h).
+
+Gram positivity and restriction-compression need dense linear algebra on
+small Gram matrices (tens of rows).  Both routines are pure Python, because
+an array library's import would cost every process, including the many
+that never build a Gram matrix, about 13 MB of resident memory and 0.1 s
+of start-up:
+
+* ``_hermitian_eigenvalues``, cyclic Jacobi for Hermitian matrices (Golub
+  and Van Loan, *Matrix Computations*, 8.5), stops once the off-diagonal
+  Frobenius norm is at most 1e-13 * max(1, max |a_ii|); by Weyl's
+  inequality that bounds the error of every eigenvalue;
+* ``_ldl_pivoted`` factors a positive semidefinite matrix as L D L^H with
+  diagonal pivoting (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, 10.3) and ends at the first pivot at most n * eps times the
+  largest diagonal entry; ``_ldl_solve`` solves from that one factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
+import math
+import sys
 
 from .errors import ConfigError
 from .pairs import PairFamily
 from .repspace import CovariantRep, SparseVector
 
 _EMPTY = SparseVector({})
+
+# The most vectors ``gram_min_eigenvalue`` accepts: Jacobi's cost grows as
+# n^3, about 0.5 s at 64 vectors.
+GRAM_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +157,10 @@ class Dilation:
             return h.distance(w.blocks[s])
         return self.norm(v - w)
 
-    def gram(self, vectors) -> np.ndarray:
-        """The matrix of ``inner`` over vectors; each V_u* h is computed
-        once per call, not once per pair."""
+    def gram(self, vectors) -> list:
+        """The matrix of ``inner`` over vectors, as a list of rows of
+        ``complex``; each V_u* h is computed once per call, not once per
+        pair."""
         adjoints = {}
 
         def adjoint(u, h):
@@ -151,19 +171,18 @@ class Dilation:
             return out
 
         n = len(vectors)
-        g = np.zeros((n, n), dtype=complex)
+        g = [[0j] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 val = self._inner(vectors[i], vectors[j], adjoint)
-                g[i, j] = val
-                g[j, i] = val.conjugate() if i != j else val
+                g[i][j] = val
+                g[j][i] = val.conjugate() if i != j else val
         return g
 
     def gram_min_eigenvalue(self, vectors) -> float:
-        if len(vectors) > 200:
-            raise ConfigError("Gram computations are capped at 200 vectors")
-        g = self.gram(vectors)
-        return float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
+        if len(vectors) > GRAM_CAP:
+            raise ConfigError(f"Gram computations are capped at {GRAM_CAP} vectors")
+        return min(_hermitian_eigenvalues(self.gram(vectors)))
 
     # -- the unitary group ----------------------------------------------------
 
@@ -266,16 +285,15 @@ def restrict_compress(
             fixed.append(dil.project_fixed(DilationVector.symbol(s, h)))
 
     # Residual distance of each fixed vector from the span of the embedded
-    # carrier; a strict excess is diagnostic, not an error.
+    # carrier; a strict excess is diagnostic, not an error.  The normal
+    # equations sum_i x_i <e_i, e_k> = <f, e_k> have the transpose of the
+    # Gram matrix, factored once for every f.
+    factor = _ldl_pivoted(zip(*dil.gram(embedded)))
     excess = []
-    ge = dil.gram(embedded)
     for f in fixed:
-        # Normal equations: sum_i x_i <e_i, e_k> = <f, e_k> for every k.
-        rhs = np.array([dil.inner(f, e) for e in embedded])
-        coeffs, *_ = np.linalg.lstsq(ge.T, rhs, rcond=None)
-        coeffs = np.asarray(coeffs).reshape(-1)
+        coeffs = _ldl_solve(factor, [dil.inner(f, e) for e in embedded])
         approx = DilationVector.build(
-            (s, h.scale(complex(c)))
+            (s, h.scale(c))
             for c, e in zip(coeffs, embedded)
             for s, h in e.blocks.items()
         )
@@ -284,3 +302,100 @@ def restrict_compress(
             excess.append(residual)
 
     return CompressedRep(dil, tuple(excess))
+
+
+def _hermitian_eigenvalues(a) -> list:
+    """The eigenvalues, ascending, of the Hermitian matrix a (rows of
+    numbers; only the real parts of the diagonal are read), by cyclic
+    Jacobi rotations on a copy.  Each is off by at most the final
+    off-diagonal Frobenius norm, 1e-13 * max(1, max |a_ii|)."""
+    a = [list(row) for row in a]
+    n = len(a)
+    for _ in range(100):
+        off = sum(abs(x) ** 2 for i, row in enumerate(a) for x in row[i + 1:])
+        stop = 1e-13 * max([1.0] + [abs(a[i][i].real) for i in range(n)])
+        if 2.0 * off <= stop * stop:
+            break
+        # An entry at most stop/n is left alone: if all are, the stop holds.
+        small = stop / n
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = a[p][q]
+                r = abs(g)
+                if r <= small:
+                    continue
+                # The phase e = g/r makes the (p, q) entry real; then the
+                # real symmetric rotation (c, s) of Golub and Van Loan's
+                # sym.schur2 zeroes it.
+                e = g / r
+                tau = (a[q][q].real - a[p][p].real) / (2.0 * r)
+                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                se, ce = s * e.conjugate(), c * e.conjugate()
+                row_p, row_q = a[p], a[q]
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    row_k = a[k]
+                    akp, akq = row_k[p], row_k[q]
+                    row_k[p] = x = c * akp - se * akq
+                    row_p[k] = x.conjugate()
+                    row_k[q] = y = s * akp + ce * akq
+                    row_q[k] = y.conjugate()
+                row_p[p] = complex(row_p[p].real - t * r)
+                row_q[q] = complex(row_q[q].real + t * r)
+                row_p[q] = row_q[p] = 0j
+    return sorted(a[i][i].real for i in range(n))
+
+
+def _ldl_pivoted(a):
+    """(perm, rows, pivots) of P a P^T = L D L^H for a positive
+    semidefinite a, with the largest remaining diagonal entry as each
+    pivot: row i of L is rows[i] (its entries left of the diagonal), D is
+    diag(pivots) and perm[i] the index of a's row at position i.  The
+    factorization ends at the first pivot <= n * eps * max |a_ii|, the
+    rank it detects."""
+    a = [list(row) for row in a]
+    n = len(a)
+    perm = list(range(n))
+    cutoff = n * sys.float_info.epsilon * max((abs(a[i][i].real) for i in range(n)), default=0.0)
+    pivots = []
+    for k in range(n):
+        j = max(range(k, n), key=lambda i: a[i][i].real)
+        d = a[j][j].real
+        if d <= cutoff:
+            break
+        a[k], a[j] = a[j], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        perm[k], perm[j] = perm[j], perm[k]
+        pivots.append(d)
+        col = [a[i][k] for i in range(k + 1, n)]
+        for i, x in enumerate(col, k + 1):
+            if x:
+                row_i, xd = a[i], x / d
+                for m, y in enumerate(col, k + 1):
+                    row_i[m] -= xd * y.conjugate()
+            a[i][k] = x / d
+    rows = [a[i][:i] for i in range(len(pivots))]
+    return perm, rows, pivots
+
+
+def _ldl_solve(factor, b) -> list:
+    """A solution x of a x = b from ``_ldl_pivoted(a)``: the leading block
+    of the permuted system is solved, and x is zero off the pivots."""
+    perm, rows, pivots = factor
+    r = len(pivots)
+    y = [b[perm[i]] for i in range(r)]
+    for i in range(r):
+        row = rows[i]
+        y[i] -= sum(row[j] * y[j] for j in range(i))
+    for i in range(r):
+        y[i] /= pivots[i]
+    for i in reversed(range(r)):
+        y[i] -= sum(rows[j][i].conjugate() * y[j] for j in range(i + 1, r))
+    x = [0j] * len(perm)
+    for i in range(r):
+        x[perm[i]] = y[i]
+    return x

@@ -85,7 +85,9 @@ class SparseVector:
     decoded on first read and cached, with the keys, key order and values
     of the plain dict.  Arithmetic, ``inner``, ``norm`` and ``distance``
     run on the stored dicts and never decode; a plain operand that meets a
-    coded one is encoded, which builds no Fraction.  Codes are injective,
+    coded one is encoded, which builds no Fraction, and keeps the codes, so
+    it is encoded only once (its ``values`` stays the dict it was built
+    from).  Codes are injective,
     so keys match, and are visited, exactly as they would be in plain
     dicts, and every float sum is the same bit for bit.  ``values`` must
     not be changed in place.
@@ -229,17 +231,29 @@ def _encoded(codec, data: dict) -> dict:
     return dict(zip(codec.encode(data), data.values()))
 
 
+def _adopt(v: SparseVector, codec) -> dict:
+    """Encode the plain v under codec once and for all: v keeps the codes
+    as its stored dict, and ``values`` stays the very dict v was built
+    from, so a plain vector met again by an operator is not encoded again."""
+    data = v._data
+    if data:
+        v._data, v._codec = _encoded(codec, data), codec
+    return v._data
+
+
 def _stored(v: SparseVector, codec) -> dict:
     """v's stored dict, keyed by codec's codes."""
     if v._codec is codec or v._codec == codec:
         return v._data
-    return _encoded(codec, v._data if v._codec is None else v.values)
+    if v._codec is None:
+        return _adopt(v, codec)
+    return _encoded(codec, v.values)
 
 
 def _align(vectors):
     """(codec, dicts): the stored dicts of vectors in one key space.  Plain
-    operands take the codec of the coded ones and are encoded; vectors
-    coded by unequal codecs are all read through ``values``, plain."""
+    operands take the codec of the coded ones (``_adopt``); vectors coded
+    by unequal codecs are all read through ``values``, plain."""
     codec = None
     for v in vectors:
         if v._data and v._codec is not None and v._codec is not codec:
@@ -249,9 +263,7 @@ def _align(vectors):
                 return None, [v.values for v in vectors]
     if codec is None:
         return None, [v._data for v in vectors]
-    return codec, [
-        _encoded(codec, v._data) if v._data and v._codec is None else v._data for v in vectors
-    ]
+    return codec, [_adopt(v, codec) if v._codec is None else v._data for v in vectors]
 
 
 @dataclass(frozen=True)

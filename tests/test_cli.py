@@ -235,6 +235,28 @@ def test_console_script_entrypoint():
     assert "bost-connes" in result.stdout
 
 
+def test_dilation_suite_never_imports_numpy():
+    """The package runs without numpy: in a fresh interpreter, the dilation
+    suite, whose gram-psd and restrict-compress checks do the dense linear
+    algebra, passes for bost-connes and matrix at seed 1 and leaves numpy
+    unimported."""
+    code = """
+import sys
+from hecke_lab import cli
+for family in ({"family": "bost-connes"},
+               {"family": "matrix", "F": [[2, 0], [0, 3]], "M": [[5, 0], [0, 1]]}):
+    reports = cli.run(cli.RunConfig(family=family, suite="dilation", seed=1))
+    ids = [r.check_id for r in reports]
+    assert "dilation.gram-psd" in ids and "dilation.restrict-compress" in ids, ids
+    assert all(r.status == "pass" for r in reports), [(r.check_id, r.status) for r in reports]
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_dilation_checks_decode_no_carrier_vector(monkeypatch):
     """The regular pair keeps its vectors under carrier codes from input to
     verdict: on the matrix dilation suite at seed 1, the isometry,

@@ -10,11 +10,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hecke_lab.errors import ConfigError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import dilate
-from hecke_lab.dilate import Dilation, DilationVector, restrict_compress
+from hecke_lab.dilate import (
+    Dilation,
+    DilationVector,
+    _hermitian_eigenvalues,
+    _ldl_pivoted,
+    _ldl_solve,
+    restrict_compress,
+)
 from hecke_lab.repspace import (
     SparseVector,
     direct_sum,
@@ -371,9 +380,9 @@ def test_gram_equals_pairwise_inner(dil, bc):
     for i, v in enumerate(vecs):
         for j in range(i, len(vecs)):
             val = dil.inner(v, vecs[j])
-            assert g[i, j] == val
+            assert g[i][j] == val
             if j != i:
-                assert g[j, i] == val.conjugate()
+                assert g[j][i] == val.conjugate()
 
 
 def test_distance_is_bit_for_bit_the_norm_of_the_difference(dil):
@@ -393,3 +402,82 @@ def test_distance_is_bit_for_bit_the_norm_of_the_difference(dil):
         assert dil.distance(v, w) == dil.norm(v - w)
         assert dil.distance(v, v) == 0.0
     assert 10 < one_level < 90
+
+
+# -- the dense routines against numpy ------------------------------------------
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _test_matrix(kind, n, rng):
+    if kind == "full-rank":
+        x = _complex_normal(rng, n, n)
+        return x @ x.conj().T
+    if kind == "rank-deficient":
+        x = _complex_normal(rng, n, n // 2)
+        return x @ x.conj().T
+    if kind == "indefinite":
+        x = _complex_normal(rng, n, n)
+        return (x + x.conj().T) / 2
+    return np.diag(rng.normal(size=n)).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "indefinite", "diagonal"])
+def test_jacobi_eigenvalues_match_eigvalsh(kind, n):
+    """Cyclic Jacobi agrees with LAPACK to 1e-10 * ||A|| on seeded
+    Hermitian matrices, including singular and indefinite ones."""
+    rng = np.random.default_rng([n, len(kind)])
+    a = _test_matrix(kind, n, rng)
+    got = _hermitian_eigenvalues(a.tolist())
+    want = np.linalg.eigvalsh(a)
+    assert len(got) == n
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-10 * max(1.0, np.linalg.norm(a, 2))
+
+
+def test_jacobi_empty_matrix():
+    assert _hermitian_eigenvalues([]) == []
+
+
+def _deficient_gram(rng, n, rank):
+    """The Gram matrix G[i][k] = <v_i, v_k> of n vectors in C^8 spanning
+    rank dimensions: a zero vector first, then a repeat and rescaled
+    copies, so an unpivoted elimination meets a zero pivot at once."""
+    basis = _complex_normal(rng, rank, 8)
+    rows = [np.zeros(8, dtype=complex), basis[0], basis[0], 1e-3 * basis[0]]
+    rows += list(basis[1:])
+    while len(rows) < n:
+        rows.append(_complex_normal(rng, rank) @ basis)
+    v = np.array(rows[:n])
+    return v, v @ v.conj().T
+
+
+@pytest.mark.parametrize("n,rank", [(4, 1), (9, 4), (20, 6), (40, 8)])
+def test_pivoted_solve_on_rank_deficient_grams(n, rank):
+    """The normal equations of restrict_compress, sum_i x_i <v_i, v_k> =
+    <f, v_k>: the pivoted LDL^H solve reproduces the right-hand side to
+    rounding, and its projection sum_i x_i v_i is lstsq's."""
+    rng = np.random.default_rng([n, rank])
+    v, g = _deficient_gram(rng, n, rank)
+    factor = _ldl_pivoted(g.T.tolist())
+    assert len(factor[2]) == rank
+    for _ in range(3):
+        f = _complex_normal(rng, 8)
+        b = v.conj() @ f  # b_k = <f, v_k>
+        x = np.array(_ldl_solve(factor, b.tolist()))
+        scale = np.linalg.norm(g, 2) * max(1.0, np.max(np.abs(x)))
+        assert np.max(np.abs(g.T @ x - b)) <= 1e-12 * scale
+        ref, *_ = np.linalg.lstsq(g.T, b, rcond=None)
+        assert np.max(np.abs(x @ v - ref @ v)) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_pivoted_solve_of_empty_system():
+    assert _ldl_solve(_ldl_pivoted([]), []) == []
+
+
+def test_gram_min_eigenvalue_caps_the_vector_count(dil):
+    vecs = [sym(1, xi(Fraction(k, 70))) for k in range(65)]
+    with pytest.raises(ConfigError, match="64"):
+        dil.gram_min_eigenvalue(vecs)
