@@ -21,18 +21,38 @@ Key operations:
 
 The group algebra of N/M is the identity level of this algebra:
 ``grpalg.GroupAlgebraElement`` is a ``LocFun`` pinned there.  Values are
-exact ``QC`` coefficients throughout.  Sums of values go through
-``coeffs.accumulate``, the merge the float vectors of ``repspace`` use:
-each key is hashed once, a key whose sum is zero is dropped, and one that
-comes back is appended at the end, so key order is a function of the
-order of the summands.  Maps that are injective on cosets (``star``,
-``scale``, ``theta_star``, ``theta_star_inv``, ``refine``) fill their
-dict directly.
+exact ``QC`` coefficients throughout.
+
+Storage.  A ``LocFun`` keeps its level, one common denominator L (``den``)
+and a dict ``codes`` from one int per key to its value: the cell code of
+``PairFamily.cell_codes``, x*L for the scalar families and the numerators
+of x over L packed in mixed radix for ``matrix``.  Every operation above
+runs code to code through the family's cell kernels (``cell_refine``,
+``sum_codes``, ``cell_solve``, ``cell_psi_inv``, ``cell_neg``), so it
+builds and hashes no Fraction: ``theta_star`` writes its outputs over
+L * index(s), and at the identity level the solutions of x = c/L are the
+codes range(c, L * index(s), L).  ``==`` refines both sides to a common
+level, rescales both to the lcm of their denominators and compares the
+dicts.
+
+``values``, the Fraction-keyed dict, is decoded in stored key order on each
+read and is not cached: a cached copy would sit next to the codes for the
+life of the object, and at the largest levels (padic(3) level 9, matrix
+level (3, 3)) each copy is megabytes, while the benchmark's checks read
+both sides of an identity one after the other.  In the package only
+output (``to_json``, the CLI) reads it.
+
+Sums of values go through ``coeffs.accumulate``, the merge the float
+vectors of ``repspace`` use: each code is hashed once, a code whose sum is
+zero is dropped, and one that comes back is appended at the end, so key
+order is a function of the order of the summands.  Maps that are injective
+on cosets (``star``, ``scale``, ``theta_star``, ``theta_star_inv``,
+``refine``) fill their dict directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from fractions import Fraction
 
 from .coeffs import QC, accumulate, qc_from_ints, qc_numerators
@@ -40,63 +60,120 @@ from .errors import PrecisionError
 from .pairs import PairFamily, frac_to_str, frac_from_json, json_field, json_list
 
 
-@dataclass(frozen=True, eq=False)
+def _is_key(k) -> bool:
+    """Whether k has a cell key's type: a Fraction, or a tuple of them."""
+    return type(k) is Fraction or (type(k) is tuple and all(type(c) is Fraction for c in k))
+
+
 class LocFun:
     """A level s and the values of the function on level-s cylinders.
 
-    Invariant: every key is canonical at the element's level (a fixed
-    point of ``family.canon(., level)``) and every value is non-zero.
+    Storage: ``codes``, a dict from the cell code of each key (one int,
+    ``PairFamily.cell_codes``) to its value, over the common denominator
+    ``den``.  Invariant: every key is canonical at the element's level (a
+    fixed point of ``family.canon(., level)``) and every value is non-zero.
     ``build`` establishes it from arbitrary pairs; code that constructs a
-    ``LocFun`` directly must already hold it.
+    ``LocFun`` from codes (``_make``) must already hold it.
+
+    ``values``, the key-to-value dict, is decoded in stored key order on
+    each read and not kept: a decoded copy would double the memory of a
+    large function while its codes stay alive.  The constructor
+    ``LocFun(family, level, values)`` stores any dict exactly: keys that
+    are canonical Fractions (tuples of them) are coded, and a dict with
+    any other key is kept as given, with ``den`` None.  Such a function
+    only reads back: ``values`` returns the dict, ``==`` compares it, and
+    the algebra's operations refuse it.
     """
 
-    family: PairFamily
-    level: object
-    values: dict = field(default_factory=dict)
-    # Refinement cache; idempotent fill keeps concurrent reads safe.
-    _refined: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("family", "level", "den", "codes", "_refined")
+
+    def __init__(self, family: PairFamily, level, values=None):
+        values = {} if values is None else values
+        keys = list(values)
+        den = None
+        if all(map(_is_key, keys)):
+            try:
+                den, codes = family.cell_codes(keys, level)
+            except (AttributeError, TypeError):  # a key of another family's shape
+                pass
+            else:
+                if family.cell_keys(level, den, codes) != keys:
+                    den = None
+        self.family, self.level, self.den, self._refined = family, level, den, None
+        self.codes = dict(values) if den is None else dict(zip(codes, values.values()))
+
+    @classmethod
+    def _make(cls, family: PairFamily, level, den, codes: dict) -> "LocFun":
+        """The function with these cell codes over den; they must hold the
+        invariant.  Codes dicts are shared, never changed in place."""
+        f = object.__new__(cls)
+        f.family, f.level, f.den, f.codes, f._refined = family, level, den, codes, None
+        return f
+
+    def keys(self) -> list:
+        """The keys of the cells, decoded, in stored order."""
+        if self.den is None:
+            return list(self.codes)
+        return self.family.cell_keys(self.level, self.den, self.codes)
+
+    @property
+    def values(self) -> dict:
+        """The key-to-value dict, decoded afresh on each read."""
+        return dict(zip(self.keys(), self.codes.values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(level={self.level!r}, values={self.values!r})"
 
     @staticmethod
     def build(family: PairFamily, level, pairs, exact=True) -> "LocFun":
         """Normalize (coset, coefficient) pairs: canonical keys, no zeros.
 
-        Each coset is reduced by ``canon`` and each coefficient made a
-        ``QC``; ``coeffs.accumulate`` then sums them left to right with one
-        hash per pair, drops keys whose sum is zero and re-appends a key
-        that comes back.  ``exact`` outlives the removed float backend only
-        because wrappers of ``build`` (bench/tracing.py) pass it
-        positionally: True only."""
+        One ``cell_codes`` batch codes canon(n, level) for every coset,
+        each coefficient is made a ``QC``, and ``coeffs.accumulate`` sums
+        them left to right with one hash per pair, drops keys whose sum is
+        zero and re-appends a key that comes back.  ``exact`` outlives the
+        removed float backend only because wrappers of ``build``
+        (bench/tracing.py) pass it positionally: True only."""
         if exact is not True:
             raise ValueError("LocFun coefficients are exact QC values; exact must be True")
         family.validate_s(level)
-        canon, of = family.canon, QC.of
-        return LocFun(family, level, accumulate({}, ((canon(n, level), of(c)) for n, c in pairs)))
+        pairs = list(pairs)
+        den, codes = family.cell_codes([n for n, _ in pairs], level)
+        values = [QC.of(c) for _, c in pairs]
+        return LocFun._make(family, level, den, accumulate({}, zip(codes, values)))
 
-    def _with(self, values) -> "LocFun":
-        """Same family, level and class; the values must hold the invariant."""
-        return LocFun(self.family, self.level, values)
+    def _with(self, den, codes) -> "LocFun":
+        """Same family, level and class; the codes must hold the invariant."""
+        return type(self)._make(self.family, self.level, den, codes)
+
+    def codes_over(self, den) -> dict:
+        """The codes dict over den, a multiple of ``self.den``."""
+        if den == self.den:
+            return self.codes
+        codes = self.family.cell_rescale(self.level, self.den, self.codes, den)
+        return dict(zip(codes, self.codes.values()))
 
     def refine(self, t) -> "LocFun":
         """The same function, stored on the finer level-t cosets."""
         fam = self.family
         if t == self.level:
             return self
-        cached = self._refined.get(t)
-        if cached is not None:
-            return cached
-        r = fam.s_divide(t, self.level)
-        if r is None:
+        if self._refined is not None and t in self._refined:
+            return self._refined[t]
+        if fam.s_divide(t, self.level) is None:
             raise PrecisionError(
                 f"cannot refine from level {self.level!r} to non-multiple {t!r}"
             )
         fam.require_level(t)
         # The level-t cosets below one level-s coset are disjoint from those
-        # below another, so the dict is filled directly, from one
-        # ``sum_codes`` batch, cells outer and splitters inner.
-        splitters = [fam.psi_s_inv(self.level, m) for m in fam.coset_reps(r)]
-        codes, decode = fam.sum_codes(self.values, splitters, t)
-        spread = [v for v in self.values.values() for _ in splitters]
-        out = LocFun(fam, t, dict(zip(decode(codes), spread)))
+        # below another, so the dict is filled directly, cells outer and
+        # their index(t)/index(s) subcells inner.
+        count = fam.index(t) // fam.index(self.level)
+        codes = fam.cell_refine(self.level, self.den, self.codes, t)
+        spread = [v for v in self.codes.values() for _ in range(count)]
+        out = LocFun._make(fam, t, self.den, dict(zip(codes, spread)))
+        if self._refined is None:
+            self._refined = {}
         self._refined[t] = out
         return out
 
@@ -106,11 +183,12 @@ class LocFun:
     def __add__(self, other: "LocFun") -> "LocFun":
         t = self.common_level(other)
         a, b = self.refine(t), other.refine(t)
+        den = math.lcm(a.den, b.den)
         # The copy reuses the stored hashes of the left operand's keys.
-        return a._with(accumulate(dict(a.values), b.values.items()))
+        return a._with(den, accumulate(dict(a.codes_over(den)), b.codes_over(den).items()))
 
     def __neg__(self):
-        return self._with({k: -c for k, c in self.values.items()})
+        return self._with(self.den, {k: -c for k, c in self.codes.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,39 +200,50 @@ class LocFun:
         """The keys stay canonical and distinct, and q = 0 is the only
         scalar that makes a value zero."""
         if not q:
-            return self._with({})
-        return self._with({k: c * q for k, c in self.values.items()})
+            return self._with(self.den, {})
+        return self._with(self.den, {k: c * q for k, c in self.codes.items()})
 
     def star(self) -> "LocFun":
         """Involution: conjugate values on inverted cosets (unimodular, so
         no modular correction).  n -> -n permutes the level cosets, so
-        distinct keys stay distinct; only ``canon`` is needed, to bring -n
-        back into the canonical box."""
-        fam, level = self.family, self.level
-        return self._with(
-            {fam.canon(fam.n_neg(k), level): c.conjugate() for k, c in self.values.items()}
-        )
+        distinct codes stay distinct; ``cell_neg`` brings -n back into the
+        canonical box."""
+        fam, den = self.family, self.den
+        codes = fam.cell_neg(self.level, den, self.codes)
+        return self._with(den, dict(zip(codes, [c.conjugate() for c in self.codes.values()])))
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.codes
 
     def __eq__(self, other):
         if not isinstance(other, LocFun):
             return NotImplemented
         if self.family is not other.family and self.family != other.family:
             return False
+        if self.den is None or other.den is None:
+            return self.level == other.level and self.values == other.values
         t = self.common_level(other)
-        return self.refine(t).values == other.refine(t).values
+        a, b = self.refine(t), other.refine(t)
+        if len(a.codes) != len(b.codes):
+            return False
+        den = math.lcm(a.den, b.den)
+        return a.codes_over(den) == b.codes_over(den)
 
     def eval_at(self, n):
-        """Pointwise value at a group element (useful as an oracle)."""
-        return self.values.get(self.family.canon(n, self.level), 0)
+        """Pointwise value at a group element (useful as an oracle).  The
+        key of n has n's denominators, so it is a key of this function
+        only if they divide ``den``."""
+        fam, level = self.family, self.level
+        den, codes = fam.cell_codes([n], level)
+        if self.den % den:
+            return 0
+        return self.codes.get(fam.cell_rescale(level, den, codes, self.den)[0], 0)
 
     def mass(self):
         """Total integral: each level-s coset weighs index(s)^-1."""
         total = 0
         w = Fraction(1, self.family.index(self.level))
-        for c in self.values.values():
+        for c in self.codes.values():
             total = total + c * w
         return total
 
@@ -177,7 +266,7 @@ class LocFun:
 
 
 def zero(family: PairFamily) -> LocFun:
-    return LocFun(family, family.s_identity, {})
+    return LocFun._make(family, family.s_identity, 1, {})
 
 
 def chi_K(family: PairFamily) -> LocFun:
@@ -206,23 +295,22 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
 
     The sum is taken in integers.  Each factor's values are written over
     one common denominator D_f, D_g (``coeffs.qc_numerators``), and one
-    ``sum_codes`` batch codes the level-m coset of every pair of keys.
+    ``sum_codes`` batch codes the level-m coset of every pair of cells.
     Each pair adds its product's two integer numerators into a [re, im]
-    cell for its code, found with one ``setdefault``, so no key is built
-    or hashed per pair.  A cell that returns to (0, 0) is deleted, so a
-    code that comes back is appended at the end, as ``LocFun.build``
-    orders a merge; equal codes are equal keys, so that is the key order
-    of a merge over keys.  Only the surviving codes are decoded, and each
-    cell is normalised once, over D_f * D_g * index(j), into one ``QC``:
-    values and key order equal those of ``build`` over the ``QC``
-    products.
+    cell for its code, found with one ``setdefault``.  A cell that returns
+    to (0, 0) is deleted, so a code that comes back is appended at the end,
+    as ``LocFun.build`` orders a merge; equal codes are equal keys, so that
+    is the key order of a merge over keys.  Each surviving cell is
+    normalised once, over D_f * D_g * index(j), into one ``QC``: values and
+    key order equal those of ``build`` over the ``QC`` products, and no key
+    is built.
     """
     fam = f.family
     t = f.common_level(g)
     m = fam.s_meet(f.level, g.level)
-    df, f_nums = qc_numerators(f.values.values())
-    dg, g_nums = qc_numerators(g.values.values())
-    codes, decode = fam.sum_codes(f.values, g.values, m)
+    df, f_nums = qc_numerators(f.codes.values())
+    dg, g_nums = qc_numerators(g.codes.values())
+    den, codes = fam.sum_codes((f.level, f.den, f.codes), (g.level, g.den, g.codes), m)
     codes = iter(codes)
     cells = {}
     setdefault = cells.setdefault
@@ -234,18 +322,16 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
             cell[1] += a * d + b * c
             if not (cell[0] or cell[1]):
                 del cells[code]
-    den = df * dg * fam.index(t)
-    out = {
-        key: qc_from_ints(re, im, den) for key, (re, im) in zip(decode(cells), cells.values())
-    }
-    return LocFun(fam, m, out).refine(t)
+    scale = df * dg * fam.index(t)
+    out = {code: qc_from_ints(re, im, scale) for code, (re, im) in cells.items()}
+    return LocFun._make(fam, m, den, out).refine(t)
 
 
 def embed_i(a: LocFun) -> LocFun:
     """Send each group-algebra generator to the indicator of its cylinder
     at the identity level: a group-algebra element already is that
-    function, so this re-tags it as a plain ``LocFun``."""
-    return LocFun(a.family, a.level, dict(a.values))
+    function, so this re-tags it as a plain ``LocFun`` on the same codes."""
+    return LocFun._make(a.family, a.level, a.den, a.codes)
 
 
 def theta_star(s, f: LocFun) -> LocFun:
@@ -254,24 +340,23 @@ def theta_star(s, f: LocFun) -> LocFun:
 
     On a level-a cylinder over c it spreads mass index(s)^-1 over the
     index(s) level-a cylinders whose theta_s-preimage is the one over c,
-    that is over ``solve_coset(s, c, a)``.  The spreads of distinct
-    level-a cosets c are disjoint, since each target cylinder has one
-    preimage, and the index(s) targets of one c are distinct and
-    canonical, so no merging or zero test is needed: skip ``build``.
-    The result has f's class, so at the identity level it is ``grpalg.alpha``.
+    that is over ``solve_coset(s, c, a)``, coded by one ``cell_solve``
+    batch over den * index(s).  The spreads of distinct level-a cosets c
+    are disjoint, since each target cylinder has one preimage, and the
+    index(s) targets of one c are distinct and canonical, so no merging or
+    zero test is needed: skip ``build``.  The result has f's class, so at
+    the identity level it is ``grpalg.alpha``.
     """
     fam = f.family
     fam.validate_s(s)
     if s == fam.s_identity:
         return f
-    a = f.level
+    den, blocks = fam.cell_solve(s, f.level, f.den, f.codes)
     w = Fraction(1, fam.index(s))
     out = {}
-    for c, v in f.values.items():
-        spread = v * w
-        for m in fam.solve_coset(s, c, a):
-            out[m] = spread
-    return f._with(out)
+    for block, v in zip(blocks, f.codes.values()):
+        out.update(dict.fromkeys(block, v * w))
+    return f._with(den, out)
 
 
 def theta_star_inv(s, f: LocFun) -> LocFun:
@@ -280,19 +365,18 @@ def theta_star_inv(s, f: LocFun) -> LocFun:
     A level-a cylinder over c goes to index(s) times the level-(a*s)
     cylinder over the preimage of c.  psi_s^-1 maps the level-a subgroup
     onto the level-(a*s) one, so distinct keys go to distinct cosets and
-    the dict is filled directly; ``canon`` stays, because for a
-    non-diagonal HNF the preimage can leave the canonical box.
+    the dict is filled directly; ``cell_psi_inv`` reduces at level a*s,
+    because for a non-diagonal HNF the preimage can leave the canonical box.
     """
     fam = f.family
     fam.validate_s(s)
     if s == fam.s_identity:
         return f
-    a = f.level
-    deeper = fam.s_mul(a, s)
+    deeper = fam.s_mul(f.level, s)
     fam.require_level(deeper)
+    codes = fam.cell_psi_inv(s, f.level, f.den, f.codes, deeper)
     idx = Fraction(fam.index(s))
-    values = {fam.canon(fam.psi_s_inv(s, c), deeper): v * idx for c, v in f.values.items()}
-    return LocFun(fam, deeper, values)
+    return LocFun._make(fam, deeper, f.den, dict(zip(codes, [v * idx for v in f.codes.values()])))
 
 
 def theta_star_g(g, f: LocFun) -> LocFun:

@@ -66,14 +66,19 @@ class CheckReport:
     note: str = ""
 
     def to_json(self):
+        """The report record.  JSON has no NaN or infinity, so such a
+        deviation is written as null, and named at the head of the note."""
+        dev, note = self.deviation, self.note
+        if dev is not None and not math.isfinite(dev):
+            dev, note = None, f"deviation {dev}" + (f"; {note}" if note else "")
         return {
             "check": self.check_id,
             "statement": self.statement,
             "status": self.status,
-            "deviation": self.deviation,
+            "deviation": dev,
             "exact": self.exact,
             "runtime": round(self.runtime, 6),
-            "note": self.note,
+            "note": note,
         }
 
 
@@ -118,7 +123,14 @@ def _exact(ok: bool, note: str = ""):
 
 
 def _float(dev: float, tol: float, note: str = ""):
+    """A float check's result: NaN is not <= tol, so it fails."""
     return (dev <= tol, dev, False, note)
+
+
+def _worse(worst: float, dev: float) -> float:
+    """max(worst, dev), except that a NaN on either side is kept: max()
+    returns its first argument when a comparison with NaN is false."""
+    return worst if worst >= dev or worst != worst else dev
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +508,7 @@ def check_covariance(ctx: Ctx):
         s = ctx.rng.choice(ctx.small_s())
         n = ctx.cosets(1)[0]
         v = ctx.vectors(1)[0]
-        worst = max(worst, repspace.verify_covariance(rep, s, n, v))
+        worst = _worse(worst, repspace.verify_covariance(rep, s, n, v))
     return _float(worst, ctx.tol)
 
 
@@ -509,12 +521,12 @@ def check_isometries(ctx: Ctx):
         t = ctx.rng.choice(ctx.small_s())
         v = ctx.vectors(1)[0]
         vs = rep.apply_V(s, v)
-        worst = max(worst, abs(vs.norm() - v.norm()))
-        worst = max(
+        worst = _worse(worst, abs(vs.norm() - v.norm()))
+        worst = _worse(
             worst,
             rep.apply_V(s, rep.apply_V(t, v)).distance(rep.apply_V(fam.s_mul(s, t), v)),
         )
-        worst = max(worst, rep.apply_Vstar(s, vs).distance(v))
+        worst = _worse(worst, rep.apply_Vstar(s, vs).distance(v))
     return _float(worst, ctx.tol)
 
 
@@ -532,9 +544,9 @@ def check_average_projection(ctx: Ctx):
         for _ in range(4):
             v, w = ctx.vectors(2)
             pv = repspace.average_projection(maps, v)
-            worst = max(worst, repspace.average_projection(maps, pv).distance(pv))
+            worst = _worse(worst, repspace.average_projection(maps, pv).distance(pv))
             pw = repspace.average_projection(maps, w)
-            worst = max(worst, abs(pv.inner(w) - v.inner(pw)))
+            worst = _worse(worst, abs(pv.inner(w) - v.inner(pw)))
     return _float(worst, ctx.tol)
 
 
@@ -556,8 +568,8 @@ def check_inner_ore_independence(ctx: Ctx):
             alt = rep.apply_V(fam.s_mul(r, u), h).inner(rep.apply_V(fam.s_mul(r, v), k))
         except LevelCapError:
             continue
-        worst = max(worst, abs(base - alt))
-        worst = max(
+        worst = _worse(worst, abs(base - alt))
+        worst = _worse(
             worst,
             abs(
                 dil.inner(dilate.DilationVector.symbol(s, h), dilate.DilationVector.symbol(t, k))
@@ -574,7 +586,7 @@ def check_gram_psd(ctx: Ctx):
         s = ctx.rng.choice(ctx.small_s())
         vecs.append(dilate.DilationVector.symbol(s, ctx.vectors(1)[0]))
     low = dil.gram_min_eigenvalue(vecs)
-    return _float(max(0.0, -low), ctx.tol, note=f"min eigenvalue {low:.3e}")
+    return _float(_worse(0.0, -low), ctx.tol, note=f"min eigenvalue {low:.3e}")
 
 
 def check_unitaries(ctx: Ctx):
@@ -593,8 +605,8 @@ def check_unitaries(ctx: Ctx):
             back = dil.apply_U(fam.g_inv(g), moved)
         except LevelCapError:
             continue
-        worst = max(worst, abs(dil.norm(moved) - dil.norm(v)))
-        worst = max(worst, dil.distance(back, v))
+        worst = _worse(worst, abs(dil.norm(moved) - dil.norm(v)))
+        worst = _worse(worst, dil.distance(back, v))
     return _float(worst, ctx.tol)
 
 
@@ -614,8 +626,8 @@ def check_w_well_defined(ctx: Ctx):
             continue
         a = dilate.DilationVector.symbol(s, h)
         b = dilate.DilationVector.symbol(fam.s_mul(t, s), rep.apply_V(t, h))
-        worst = max(worst, dil.distance(a, b))  # the collision itself
-        worst = max(worst, dil.distance(dil.apply_W(n, a), dil.apply_W(n, b)))
+        worst = _worse(worst, dil.distance(a, b))  # the collision itself
+        worst = _worse(worst, dil.distance(dil.apply_W(n, a), dil.apply_W(n, b)))
     return _float(worst, ctx.tol)
 
 
@@ -634,7 +646,7 @@ def check_dilated_covariance(ctx: Ctx):
             rhs = dil.apply_W(fam.psi(g, n), v)
         except LevelCapError:
             continue
-        worst = max(worst, dil.distance(lhs, rhs))
+        worst = _worse(worst, dil.distance(lhs, rhs))
     return _float(worst, ctx.tol)
 
 
@@ -646,7 +658,7 @@ def check_w_recovers(ctx: Ctx):
         h = ctx.vectors(1)[0]
         lhs = dil.apply_W(n, dil.embed(h))
         rhs = dil.embed(rep.apply_Y(n, h))
-        worst = max(worst, dil.distance(lhs, rhs))
+        worst = _worse(worst, dil.distance(lhs, rhs))
     return _float(worst, ctx.tol)
 
 
@@ -660,12 +672,12 @@ def check_restrict_compress(ctx: Ctx):
     for h in basis:
         for n in ctx.cosets(2):
             lhs = rc_rep.apply_Y(n, dil.embed(h))
-            worst = max(worst, dil.distance(lhs, dil.embed(rep.apply_Y(n, h))))
+            worst = _worse(worst, dil.distance(lhs, dil.embed(rep.apply_Y(n, h))))
         for s in truncation:
             lhs = rc_rep.apply_V(s, dil.embed(h))
-            worst = max(worst, dil.distance(lhs, dil.embed(rep.apply_V(s, h))))
+            worst = _worse(worst, dil.distance(lhs, dil.embed(rep.apply_V(s, h))))
             lhs = rc_rep.apply_Vstar(s, dil.embed(h))
-            worst = max(worst, dil.distance(lhs, dil.embed(rep.apply_Vstar(s, h))))
+            worst = _worse(worst, dil.distance(lhs, dil.embed(rep.apply_Vstar(s, h))))
     note = "fixed space matches embedded carrier" if not rc_rep.excess_residuals else (
         f"fixed space exceeds embedded carrier by {max(rc_rep.excess_residuals):.2e}"
     )
@@ -780,10 +792,10 @@ def check_eval_corner(ctx: Ctx):
         for v in ctx.vectors(2):
             lhs = xprod.eval_corner(rep, tri1, xprod.eval_corner(rep, tri2, v))
             rhs = xprod.eval_corner(rep, tri12, v)
-            worst = max(worst, lhs.distance(rhs))
+            worst = _worse(worst, lhs.distance(rhs))
     p_id = xprod.corner_decompose(xprod.projection_p(fam))
     for v in ctx.vectors(2):
-        worst = max(worst, xprod.eval_corner(rep, p_id, v).distance(v))
+        worst = _worse(worst, xprod.eval_corner(rep, p_id, v).distance(v))
     return _float(worst, ctx.tol)
 
 
@@ -816,9 +828,9 @@ def check_x_ind_gram(ctx: Ctx):
                 continue
             module_side = xprod.eval_corner(rep, tri, h1).inner(h2)
             dilation_side = dil.inner(v1, v2)
-            worst = max(worst, abs(module_side - dilation_side))
+            worst = _worse(worst, abs(module_side - dilation_side))
     for h in ctx.vectors(3):
-        worst = max(worst, abs(dil.norm(ind.phi(h)) - h.norm()))
+        worst = _worse(worst, abs(dil.norm(ind.phi(h)) - h.norm()))
     return _float(worst, ctx.tol)
 
 
@@ -834,13 +846,13 @@ def check_engine_matches_dilation(ctx: Ctx):
         h = ctx.vectors(1)[0]
         vec = dilate.DilationVector.symbol(s, h)
         try:
-            worst = max(worst, dil.distance(ind.act(p, vec), ind.rho_p(vec)))
+            worst = _worse(worst, dil.distance(ind.act(p, vec), ind.rho_p(vec)))
             n = ctx.cosets(1)[0]
             lhs = ind.act(xprod.embed_algebra(grpalg.delta(fam, n)), dil.embed(h))
-            worst = max(worst, dil.distance(lhs, dil.embed(rep.apply_Y(n, h))))
+            worst = _worse(worst, dil.distance(lhs, dil.embed(rep.apply_Y(n, h))))
             vs = xprod.isom_v(fam, s)
             lhs = ind.act(vs, dil.embed(h))
-            worst = max(worst, dil.distance(lhs, dil.embed(rep.apply_V(s, h))))
+            worst = _worse(worst, dil.distance(lhs, dil.embed(rep.apply_V(s, h))))
         except LevelCapError:
             continue
     return _float(worst, ctx.tol)
@@ -854,18 +866,18 @@ def check_rc_roundtrip(ctx: Ctx):
     worst = 0.0
     for h in ctx.vectors(4):
         phi_h = ind.phi(h)
-        worst = max(worst, dil.distance(ind.rho_p(phi_h), phi_h))
+        worst = _worse(worst, dil.distance(ind.rho_p(phi_h), phi_h))
         for n in ctx.cosets(2):
-            worst = max(
+            worst = _worse(
                 worst,
                 dil.distance(back.apply_Y(n, phi_h), ind.phi(rep.apply_Y(n, h))),
             )
         for s in ctx.small_s()[:3]:
-            worst = max(
+            worst = _worse(
                 worst,
                 dil.distance(back.apply_V(s, phi_h), ind.phi(rep.apply_V(s, h))),
             )
-            worst = max(
+            worst = _worse(
                 worst,
                 dil.distance(back.apply_Vstar(s, phi_h), ind.phi(rep.apply_Vstar(s, h))),
             )
@@ -898,7 +910,7 @@ def check_theta_gram(ctx: Ctx):
                 continue
             module_side = xprod.eval_corner(rep, tri, h1).inner(h2)
             image_side = dil.inner(images[i], images[j])
-            worst = max(worst, abs(module_side - image_side))
+            worst = _worse(worst, abs(module_side - image_side))
     return _float(worst, ctx.tol)
 
 
@@ -921,7 +933,7 @@ def check_naturality(ctx: Ctx):
             continue
         lhs = xprod.theta_map(ind2, d, T(h))
         rhs = xprod.theta_map(ind1, d, h).map_blocks(lambda _s, blk: T(blk))
-        worst = max(worst, dil2.distance(lhs, rhs))
+        worst = _worse(worst, dil2.distance(lhs, rhs))
     return _float(worst, ctx.tol)
 
 
@@ -936,10 +948,10 @@ def check_extend_restrict(ctx: Ctx):
         s = ctx.rng.choice(ctx.small_s()[:4])
         v = dilate.DilationVector.symbol(s, ctx.vectors(1)[0])
         lhs = ind.W(tower.embed_j(fam, n), v)
-        worst = max(worst, dil.distance(lhs, dil.apply_W(n, v)))
+        worst = _worse(worst, dil.distance(lhs, dil.apply_W(n, v)))
     for m in ctx.sample_M(4):
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
-        worst = max(worst, ind.m_fixed_deviation(m, v))
+        worst = _worse(worst, ind.m_fixed_deviation(m, v))
     # The unit expressed on deeper cylinders acts as the fixed-space cut.
     for level in ctx.small_s()[1:3]:
         try:
@@ -948,7 +960,7 @@ def check_extend_restrict(ctx: Ctx):
         except LevelCapError:
             continue
         v = dilate.DilationVector.symbol(ctx.rng.choice(ctx.small_s()[:3]), ctx.vectors(1)[0])
-        worst = max(worst, dil.distance(ind.rho(k_refined, v), ind.rho_p(v)))
+        worst = _worse(worst, dil.distance(ind.rho(k_refined, v), ind.rho_p(v)))
     return _float(worst, ctx.tol)
 
 
@@ -968,7 +980,7 @@ def check_extension_covariance(ctx: Ctx):
             rhs = dil.apply_U(g, ind.rho(f, dil.apply_U(fam.g_inv(g), v)))
         except LevelCapError:
             continue
-        worst = max(worst, dil.distance(lhs, rhs))
+        worst = _worse(worst, dil.distance(lhs, rhs))
     return _float(worst, ctx.tol)
 
 
@@ -1264,7 +1276,7 @@ def run(config: RunConfig):
 
 
 def write_report(reports, path, config: RunConfig):
-    lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+    lines = [json.dumps(r.to_json(), sort_keys=True, allow_nan=False) for r in reports]
     summary = {
         "summary": {
             "total": len(reports),

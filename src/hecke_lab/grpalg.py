@@ -25,29 +25,29 @@ from .pairs import PairFamily
 
 class GroupAlgebraElement(LocFun):
     """A finitely supported map from N/M cosets to coefficients: the
-    identity-level ``LocFun`` with the same keys and values.
+    identity-level ``LocFun`` with the same codes and values.
 
     Invariant: every key is canonical modulo M (a fixed point of
     ``family.canon``) and every value is non-zero.  ``build`` establishes
-    it from arbitrary pairs; code that constructs an element directly must
-    already hold it.
+    it from arbitrary pairs; the constructor stores a dict as given, as
+    ``LocFun``'s does.
     """
 
-    def __init__(self, family: PairFamily, values: dict):
-        super().__init__(family, family.s_identity, values)
+    __slots__ = ()
 
-    def _with(self, values) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.family, values)
+    def __init__(self, family: PairFamily, values=None):
+        super().__init__(family, family.s_identity, values)
 
     @staticmethod
     def build(family: PairFamily, pairs) -> "GroupAlgebraElement":
         """Normalize (coset, coefficient) pairs: canonical keys, no zeros."""
-        return GroupAlgebraElement(family, LocFun.build(family, family.s_identity, pairs).values)
+        f = LocFun.build(family, family.s_identity, pairs)
+        return GroupAlgebraElement._make(family, f.level, f.den, f.codes)
 
     def __mul__(self, other: LocFun) -> LocFun:
         """Convolution; a product of two group-algebra elements stays one."""
         out = autodil.convolve(self, other)
-        return self._with(out.values) if out.level == self.level else out
+        return self._with(out.den, out.codes) if out.level == self.level else out
 
     def to_json(self):
         return super().to_json()["values"]
@@ -56,7 +56,7 @@ class GroupAlgebraElement(LocFun):
     def from_json(family: PairFamily, data) -> "GroupAlgebraElement":
         level = family.s_to_json(family.s_identity)
         f = LocFun.from_json(family, {"level": level, "values": data})
-        return GroupAlgebraElement(family, f.values)
+        return GroupAlgebraElement._make(family, f.level, f.den, f.codes)
 
 
 def delta(family: PairFamily, n, coeff=1) -> GroupAlgebraElement:

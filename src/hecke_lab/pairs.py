@@ -15,15 +15,15 @@ S carries the right-invariant direction s <= t iff t is an S-multiple of s,
 which is a lattice order for all three families, so Ore pairs are computed
 from deterministic least upper bounds.
 
-Coset translation runs on integers.  Keys stay Fractions (tuples of them
+Coset translation runs on integers.  Keys are Fractions (tuples of them
 for ``matrix``) at the API, but the kernels below write their inputs as
-integer numerators over one denominator and build each output Fraction
-from its integer code, instead of adding and reducing Fractions per coset.
-The scalar families build one Fraction per key.  ``matrix`` handles a
+integer numerators over one denominator and compute integer codes,
+instead of adding and reducing Fractions per coset.  ``matrix`` handles a
 whole batch of keys in column layout, one list of numerators per
-coordinate, and reads each coordinate from a per-family table of
-Fractions for its denominator, so a repeated coordinate is built once and
-is the same object wherever it recurs:
+coordinate, reduced together by ``lattice.hnf_reduce_columns``; where it
+builds keys it reads each coordinate from a per-family table of Fractions
+for its denominator, so a repeated coordinate is built once and is the
+same object wherever it recurs.
 
 * ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
   at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
@@ -35,20 +35,19 @@ is the same object wherever it recurs:
   adj(A_s) = D*A_s^-1.  They are reduced together, column by column, by
   the integer HNF of A_a scaled by L, which at the identity level is a
   mod L per coordinate.
-* ``sum_codes(xs, ys, a)`` writes every x and y over their common
-  denominator L and codes canon(x + y, a) for each pair by one integer add
-  and one reduction per coordinate: an int mod index(a)*L for the scalar
-  families, and for ``matrix`` the tuple of numerators that the HNF of A_a
-  scaled by L reduces as one batch.  Its ``decode`` builds keys only for
-  the codes it is given, so a caller that sums over pairs groups them by
-  code and builds one key per distinct output (``autodil.convolve``,
-  ``xprod.compose_corner``), and ``LocFun.refine`` decodes all its cells
-  and splitters as one batch.
-* ``psi_inv_codes(s, keys)`` codes canon(psi_s^-1(k)) the same way: it
-  multiplies the numerators by index(s) for the scalar families and by A_s
-  for ``matrix``, and reduces mod L.
-* ``translate(x, keys, a)`` and ``psi_inv_keys(s, keys)`` are those two
-  kernels on one row, decoded.
+* Cell codes, the storage of ``autodil.LocFun``: at a level a and over a
+  denominator L, a key x canonical at level a is one int, x*L for the
+  scalar families, and for ``matrix`` the numerators x*L packed in mixed
+  radix by the diagonal of A_a's HNF scaled by L.  ``cell_codes`` codes
+  canon(k, a) for any keys over their least common denominator, and
+  ``cell_keys`` decodes.  The kernels map codes to codes, with no key
+  built: ``cell_rescale`` (to a multiple of L), ``sum_codes`` (canon(x + y)
+  for every pair of two batches, for ``convolve`` and the corner
+  closed form), ``cell_refine`` (the level-t cells below each level-s
+  cell), ``cell_solve`` (``solve_coset`` for a batch, over L*index(s):
+  range(c, L*index(s), L) at the identity level of the scalar families),
+  ``cell_psi_inv`` (canon(psi_s^-1(x)) at the identity or at a*s) and
+  ``cell_neg`` (canon(-x, a)).
 * ``encode(keys)`` gives each N/M key one carrier code that does not
   depend on the batch: (p, q), the key p/q in lowest terms, for the scalar
   families, and (n_1, ..., n_d, L) with L the least common denominator
@@ -73,6 +72,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import ConfigError, LevelCapError
 from .lattice import (
@@ -296,46 +296,54 @@ class PairFamily:
         """``solve_coset`` for n already canonical at level; count = index(s)."""
         raise NotImplementedError
 
-    def sum_codes(self, xs, ys, level=None):
-        """(codes, decode): codes yields, once, a hashable integer code of
-        canon(x + y, level) for every pair, x in xs outer and y in ys
-        inner, and ``decode`` lists the keys of any iterable of those
-        codes, in its order, always as Fractions (tuples of them for
-        ``matrix``).  Within one call equal codes are equal keys, so a sum
-        over the pairs can be grouped by code and decode only the keys that
-        survive.  The inputs need not be canonical; pass collections.
+    # -- cell codes: level-a keys as ints over one denominator ---------------
+    #
+    # A level (None: the identity) and a denominator L fix the code of every
+    # key canonical at that level: one int, x*L for the scalar families, and
+    # for ``matrix`` the numerators x*L packed in mixed radix by the level's
+    # HNF diagonal scaled by L.  Inputs must be canonical at their level.
 
-        In integers: every x and y is written over their common denominator
-        L, and each code is one integer add and one reduction per
-        coordinate.  The scalar families' code is that numerator reduced
-        mod index(a)*L.  ``matrix`` adds the batch one coordinate at a time,
-        as columns of numerators, and reduces it by the HNF of A_a scaled
-        by L, a plain mod per coordinate when that HNF is diagonal; its
-        code is the tuple of reduced numerators, made as it is read, so a
-        large batch holds its numerators only in columns."""
+    def cell_codes(self, keys, level=None):
+        """(L, codes): the cell codes of canon(k, level) for the keys, in
+        order, over L, the least common denominator of the keys."""
         raise NotImplementedError
 
-    def psi_inv_codes(self, s, keys):
-        """(codes, decode) as in ``sum_codes``, for canon(psi_s_inv(s, k))
-        with k in keys, at the identity level.
-
-        In integers: the keys are written over their common denominator L;
-        psi_s^-1 multiplies the numerators by index(s) in the scalar
-        families, reduced mod L, and by the integer matrix A_s for
-        ``matrix``, reduced mod L per coordinate."""
+    def cell_keys(self, level, den, codes):
+        """The keys of cell codes over den, in order: Fractions, tuples of
+        them for ``matrix``."""
         raise NotImplementedError
 
-    def translate(self, x, keys, level=None):
-        """[canon(k + x, level) for k in keys], in the order of keys: the
-        decoded one-row ``sum_codes``."""
-        codes, decode = self.sum_codes((x,), keys, level)
-        return decode(codes)
+    def cell_rescale(self, level, den, codes, new):
+        """The same keys' codes over new, a multiple of den."""
+        raise NotImplementedError
 
-    def psi_inv_keys(self, s, keys):
-        """[canon(psi_s_inv(s, k)) for k in keys], in the order of keys:
-        the decoded ``psi_inv_codes``."""
-        codes, decode = self.psi_inv_codes(s, keys)
-        return decode(codes)
+    def sum_codes(self, x, y, level=None):
+        """(L, codes): the codes of canon(a + b, level) for every pair, a of
+        x outer and b of y inner, over L, the lcm of their denominators;
+        codes may be read once.  x and y are (level, den, codes) batches at
+        levels whose subgroups lie in the output level's.  Equal codes are
+        equal keys, so a sum over the pairs can be grouped by code, with no
+        key built."""
+        raise NotImplementedError
+
+    def cell_refine(self, s, den, codes, t):
+        """The level-t cells below each level-s cell, cells outer and, inner,
+        the translates by psi_s^-1 of the level-(t/s) transversal; same den."""
+        raise NotImplementedError
+
+    def cell_solve(self, s, level, den, codes):
+        """(den * index(s), blocks): for each key n, the block of codes of
+        ``solve_coset(s, n, level)``, in transversal order."""
+        raise NotImplementedError
+
+    def cell_psi_inv(self, s, level, den, codes, out=None):
+        """The codes of canon(psi_s_inv(s, k), out), same den; out is the
+        identity or a level whose subgroup contains psi_s^-1 of level's."""
+        raise NotImplementedError
+
+    def cell_neg(self, level, den, codes):
+        """The codes of canon(-k, level), same den."""
+        raise NotImplementedError
 
     # -- carrier codes: N/M keys as tuples of ints ----------------------------
 
@@ -463,7 +471,7 @@ def _int_from_json(data, what: str) -> int:
 class _RationalFamily(PairFamily):
     """The families with N inside Q and M = Z, whose level-s subgroup is
     index(s)*Z: their shared group law and serialization, and the integer
-    coding of ``solve_coset``, ``sum_codes`` and ``psi_inv_codes``.
+    coding of ``solve_coset`` and of the cell and carrier codes.
     ``canon`` stays per family, because it is hot and ``index`` validates
     its argument.  Subclasses alias ``n_add`` and ``iter_coset_reps`` into
     their own namespace, where per-family instrumentation
@@ -503,20 +511,47 @@ class _RationalFamily(PairFamily):
         step, den = q * self._modulus(level), q * count
         return [Fraction(p + k * step, den) for k in range(count)]
 
-    def sum_codes(self, xs, ys, level=None):
-        den = math.lcm(*(x.denominator for x in xs), *(y.denominator for y in ys))
-        wrap = self._modulus(level) * den
-        ys = [y.numerator * (den // y.denominator) for y in ys]
-        codes = [
-            (a + b) % wrap for a in (x.numerator * (den // x.denominator) for x in xs) for b in ys
-        ]
-        return codes, _fraction_decoder(den)
-
-    def psi_inv_codes(self, s, keys):
+    def cell_codes(self, keys, level=None):
+        keys = list(keys)
         den = math.lcm(*(k.denominator for k in keys))
-        scale = self.index(s)
-        codes = [k.numerator * (den // k.denominator) * scale % den for k in keys]
-        return codes, _fraction_decoder(den)
+        wrap = self._modulus(level) * den
+        return den, [k.numerator * (den // k.denominator) % wrap for k in keys]
+
+    def cell_keys(self, level, den, codes):
+        return [Fraction(c, den) for c in codes]
+
+    def cell_rescale(self, level, den, codes, new):
+        k = new // den
+        return [c * k for c in codes]
+
+    def sum_codes(self, x, y, level=None):
+        (_, xden, xs), (_, yden, ys) = x, y
+        den = math.lcm(xden, yden)
+        wrap, kx, ky = self._modulus(level) * den, den // xden, den // yden
+        ys = [b * ky for b in ys]
+        return den, [(a + b) % wrap for a in (a * kx for a in xs) for b in ys]
+
+    def cell_refine(self, s, den, codes, t):
+        # The level-t subgroup is index(t)*Z inside index(s)*Z: a code c in
+        # [0, index(s)*L) splits into c + j*index(s)*L, already in
+        # [0, index(t)*L).
+        step, top = self.index(s) * den, self.index(t) * den
+        return [m for c in codes for m in range(c, top, step)]
+
+    def cell_solve(self, s, level, den, codes):
+        # _solve over the new den = den*index(s): n = c/den gives the
+        # numerators c + k*den*index(a), k < index(s), canonical as they are.
+        count = self._enumerable_index(s)
+        step = self._modulus(level) * den
+        return den * count, [range(c, step * count, step) for c in codes]
+
+    def cell_psi_inv(self, s, level, den, codes, out=None):
+        scale, wrap = self.index(s), self._modulus(out) * den
+        return [c * scale % wrap for c in codes]
+
+    def cell_neg(self, level, den, codes):
+        wrap = self._modulus(level) * den
+        return [-c % wrap for c in codes]
 
     def encode(self, keys):
         return [(k.numerator, k.denominator) for k in keys]
@@ -737,11 +772,6 @@ class PadicFamily(_RationalFamily):
     g_from_json = s_from_json
 
 
-def _fraction_decoder(den):
-    """The scalar families' ``decode``: code c is the key Fraction(c, den)."""
-    return lambda codes: [Fraction(c, den) for c in codes]
-
-
 def _reduce_mod(n, mod):
     """n modulo the integer mod; a Fraction already in [0, mod) is returned as is."""
     if type(n) is Fraction and 0 <= n.numerator < mod * n.denominator:
@@ -820,6 +850,7 @@ class MatrixFamily(PairFamily):
         self._pow_cache = {}
         self._hnf_cache = {}
         self._solve_cache = {}
+        self._split_cache = {}
         self._fraction_cache = {}
         self._scaled_hnf_cache = {}
         # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
@@ -948,12 +979,31 @@ class MatrixFamily(PairFamily):
         read = table.__getitem__
         return list(zip(*[map(read, col) for col in cols]))
 
-    def _codes(self, level, den, cols):
-        """``sum_codes``'s pair for a batch of numerators over den: the
-        reduced vectors as tuples of ints, zipped from the columns as they
-        are read, and ``_decode`` of the columns of the codes it is
-        given."""
-        return zip(*self._reduce(level, den, cols)), lambda codes: self._decode(den, zip(*codes))
+    def _radices(self, level, den):
+        """The mixed radix of cell codes over den at level: den*h_ii for
+        every coordinate but the last, h the level's HNF."""
+        h = self._unit if level is None else self._hnf(level)
+        return [den * h[i][i] for i in range(self.dim - 1)]
+
+    def _pack(self, level, den, cols):
+        """The cell codes of reduced numerators over den, given in column
+        layout: n_0 + R_0*(n_1 + R_1*(...)), so L*n_1 + n_0 at the identity
+        level of a plane family.  An iterator, made as it is read, so that
+        a large ``sum_codes`` batch holds its numerators only in columns."""
+        *low, acc = cols
+        for col, r in zip(reversed(low), reversed(self._radices(level, den))):
+            acc = map(add, map(mul, acc, itertools.repeat(r)), col)
+        return iter(acc)
+
+    def _unpack(self, level, den, codes, scale=1):
+        """The numerators over den*scale of cell codes over den, in column
+        layout: ``_pack`` undone, times scale."""
+        cols, rest = [], codes
+        for r in self._radices(level, den):
+            cols.append([c % r for c in rest])
+            rest = [c // r for c in rest]
+        cols.append(list(rest))
+        return cols if scale == 1 else [[c * scale for c in col] for col in cols]
 
     def _solve_shifts(self, s, level):
         """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
@@ -969,37 +1019,82 @@ class MatrixFamily(PairFamily):
             cached = self._solve_cache[key] = (adj, [list(col) for col in zip(*shifts)])
         return cached
 
-    def _solve(self, s, n, level, count):
+    def _solve_columns(self, s, level, q, v, count):
+        """The reduced numerators over q*count of the solutions of v/q, in
+        column layout: adj(A_s)(v + q*A_a m) over the level-s transversal."""
         adj, shifts = self._solve_shifts(s, level)
-        q = math.lcm(*(x.denominator for x in n))
-        v = [x.numerator * (q // x.denominator) for x in n]
         base = [sum(a * b for a, b in zip(row, v)) for row in adj]
         cols = [[b + q * c for c in col] for b, col in zip(base, shifts)]
-        den = q * count
-        return self._decode(den, self._reduce(level, den, cols))
+        return self._reduce(level, q * count, cols)
 
-    def sum_codes(self, xs, ys, level=None):
-        den = math.lcm(*(c.denominator for k in (*xs, *ys) for c in k))
-        cols = [
-            [a + b for a in xc for b in yc]
-            for xc, yc in zip(_numerators(xs, den), _numerators(ys, den))
-        ]
-        return self._codes(level, den, cols)
+    def _solve(self, s, n, level, count):
+        q = math.lcm(*(x.denominator for x in n))
+        v = [x.numerator * (q // x.denominator) for x in n]
+        return self._decode(q * count, self._solve_columns(s, level, q, v, count))
 
-    def psi_inv_codes(self, s, keys):
-        self.validate_s(s)
-        den = math.lcm(*(c.denominator for k in keys for c in k))
-        cols = _numerators(keys, den)
-        image = []
-        for row in self._matrix_power(s) if cols else ():
-            acc = None
+    def _splitters(self, s, r):
+        """psi_s^-1 = A_s of the level-r transversal, integer vectors in
+        column layout, cached per (s, r)."""
+        cached = self._split_cache.get((s, r))
+        if cached is None:
+            a_s = self._matrix_power(s)
+            vecs = [mat_vec(a_s, m) for m in iter_hnf_box(self._hnf(r))]
+            cached = self._split_cache[s, r] = [list(col) for col in zip(*vecs)]
+        return cached
+
+    def _image(self, mat, cols):
+        """The integer matrix mat applied to vectors in column layout."""
+        out = []
+        for row in mat:
+            acc = [0] * len(cols[0])
             for a, col in zip(row, cols):
                 if a:
-                    acc = [a * c for c in col] if acc is None else [
-                        x + a * c for x, c in zip(acc, col)
-                    ]
-            image.append(acc)
-        return self._codes(None, den, image)
+                    acc = [x + a * c for x, c in zip(acc, col)]
+            out.append(acc)
+        return out
+
+    def cell_codes(self, keys, level=None):
+        keys = list(keys)
+        den = math.lcm(*(c.denominator for k in keys for c in k))
+        if not keys:
+            return den, []
+        return den, list(self._pack(level, den, self._reduce(level, den, _numerators(keys, den))))
+
+    def cell_keys(self, level, den, codes):
+        return self._decode(den, self._unpack(level, den, list(codes)))
+
+    def cell_rescale(self, level, den, codes, new):
+        return list(self._pack(level, new, self._unpack(level, den, codes, new // den)))
+
+    def sum_codes(self, x, y, level=None):
+        (xl, xden, xs), (yl, yden, ys) = x, y
+        den = math.lcm(xden, yden)
+        xcols = self._unpack(xl, xden, xs, den // xden)
+        ycols = self._unpack(yl, yden, ys, den // yden)
+        cols = [[a + b for a in xc for b in yc] for xc, yc in zip(xcols, ycols)]
+        return den, self._pack(level, den, self._reduce(level, den, cols))
+
+    def cell_refine(self, s, den, codes, t):
+        split = [[den * c for c in col] for col in self._splitters(s, self.s_divide(t, s))]
+        cells = self._unpack(s, den, codes)
+        cols = [[a + b for a in xc for b in sc] for xc, sc in zip(cells, split)]
+        return list(self._pack(t, den, self._reduce(t, den, cols)))
+
+    def cell_solve(self, s, level, den, codes):
+        count = self._enumerable_index(s)
+        return den * count, [
+            list(self._pack(level, den * count, self._solve_columns(s, level, den, v, count)))
+            for v in zip(*self._unpack(level, den, codes))
+        ]
+
+    def cell_psi_inv(self, s, level, den, codes, out=None):
+        self.validate_s(s)
+        image = self._image(self._matrix_power(s), self._unpack(level, den, codes))
+        return list(self._pack(out, den, self._reduce(out, den, image)))
+
+    def cell_neg(self, level, den, codes):
+        cols = [[-c for c in col] for col in self._unpack(level, den, codes)]
+        return list(self._pack(level, den, self._reduce(level, den, cols)))
 
     def encode(self, keys):
         # Over the least common denominator the numerators have gcd 1.
@@ -1051,18 +1146,14 @@ class MatrixFamily(PairFamily):
         return out
 
     def code_psi_inv(self, s, codes):
-        # psi_inv_codes per key: A_s times the numerators, mod each key's L.
+        # A_s times the numerators, mod each key's L.
         self.validate_s(s)
         if not codes:
             return []
         *cols, dens = zip(*codes)
-        image = []
-        for row in self._matrix_power(s):
-            acc = [0] * len(dens)
-            for a, col in zip(row, cols):
-                if a:
-                    acc = [x + a * c for x, c in zip(acc, col)]
-            image.append([x % den for x, den in zip(acc, dens)])
+        image = [
+            [x % den for x, den in zip(acc, dens)] for acc in self._image(self._matrix_power(s), cols)
+        ]
         return _lowest(image, dens)
 
     def index(self, s) -> int:

@@ -362,7 +362,7 @@ def average_projection(unitaries, v: SparseVector) -> SparseVector:
 def apply_algebra(rep: CovariantRep, a, v: SparseVector) -> SparseVector:
     """pi(a) v = sum of c_n Y_n v for a group-algebra element a = sum c_n delta_n."""
     terms = []
-    for n, c in a.values.items():
+    for n, c in zip(a.keys(), a.codes.values()):
         c = complex(c)
         if c:
             terms.append((c, rep.apply_Y(n, v)))

@@ -90,6 +90,7 @@ with the projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -222,11 +223,11 @@ def compose_corner(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> C
     With (s', t') = ``g_reduce(g)``, each a_n / index(t') sits on the
     cosets of psi_s^-1(n) + psi_t'(M): the level-t' solutions at 0
     translated by psi_s^-1(n), all in one ``sum_codes`` batch of the
-    ``psi_inv_keys`` images and those solutions.  Terms of a on one coset
-    of psi_t'(M) merge by code through ``coeffs.accumulate``, only the
-    surviving codes are decoded, and an element that cancels is empty.
-    It raises LevelCapError when s exceeds the cap, as the product
-    definition does through ``theta_star_inv``."""
+    ``cell_psi_inv`` images of a's codes and the ``cell_solve`` codes of
+    those solutions.  Terms of a on one coset of psi_t'(M) merge by code
+    through ``coeffs.accumulate``, no key is built, and an element that
+    cancels is empty.  It raises LevelCapError when s exceeds the cap, as
+    the product definition does through ``theta_star_inv``."""
     family.validate_s(s)
     family.validate_s(t)
     g = family.g_mul(family.g_inv(family.g_from_s(s)), family.g_from_s(t))
@@ -237,12 +238,15 @@ def _corner_term(fam: PairFamily, s, a: grpalg.GroupAlgebraElement, tp) -> LocFu
     """The function of v_s^* i(a) v_t, for t' = tp the reduced right factor
     of s^-1 t: a_n / index(t') on each coset of psi_s^-1(n) + psi_t'(M)."""
     fam.require_level(s)
-    cosets = fam.solve_coset(tp, fam.n_identity)
+    e = fam.s_identity
+    cden, (cosets,) = fam.cell_solve(tp, e, 1, [0])
     w = Fraction(1, fam.index(tp))
-    weighted = [c * w for c in a.values.values()]
-    codes, decode = fam.sum_codes(fam.psi_inv_keys(s, a.values), cosets)
-    sums = accumulate({}, zip(codes, (v for v in weighted for _ in cosets)))
-    return LocFun(fam, fam.s_identity, dict(zip(decode(sums), sums.values())))
+    weighted = [c * w for c in a.codes.values()]
+    images = fam.cell_psi_inv(s, e, a.den, a.codes, e)
+    den, codes = fam.sum_codes((e, a.den, images), (e, cden, cosets), e)
+    count = len(cosets)
+    sums = accumulate({}, zip(codes, (v for v in weighted for _ in range(count))))
+    return LocFun._make(fam, e, den, sums)
 
 
 def module_element(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> CrossedElement:
@@ -292,20 +296,23 @@ def corner_decompose(d: CrossedElement):
     for g, f in d.terms.items():
         s, t = fam.g_reduce(g)
         level = f.level
-        base = _corner_term(fam, s, grpalg.one(fam), t).refine(level).values
+        probe = _corner_term(fam, s, grpalg.one(fam), t).refine(level)
+        den = math.lcm(f.den, probe.den)
+        base = list(probe.codes_over(den))
         scale = fam.index(t)
-        rest = dict(f.values)
+        rest = dict(f.codes_over(den))
         coeffs = []
         while rest:
             c = next(iter(rest))
             value = rest[c]
-            for key in fam.translate(c, base, level):
-                if rest.pop(key, None) != value:
+            for code in fam.sum_codes((level, den, [c]), (level, den, base), level)[1]:
+                if rest.pop(code, None) != value:
                     raise NotInCornerError(
-                        f"not in the corner: component {g!r} differs from "
-                        f"its read-off at coset {key!r}"
+                        f"not in the corner: component {g!r} differs from its read-off "
+                        f"at coset {fam.cell_keys(level, den, [code])[0]!r}"
                     )
-            coeffs.append((fam.canon(fam.psi_s(s, c)), value * scale))
+            cell = fam.cell_keys(level, den, [c])[0]
+            coeffs.append((fam.canon(fam.psi_s(s, cell)), value * scale))
         triples.append((s, grpalg.GroupAlgebraElement.build(fam, coeffs), t))
     return triples
 
@@ -338,7 +345,8 @@ class InducedRep:
         level-l function ``inner`` = beta_s'(f).  The module docstring's
         invariance argument drops the averaging factor beta_t'(p): each
         cell's vector is fixed by the translates it averages over.  The
-        cells psi_t'^-1(c) come from one ``psi_inv_keys`` batch, and h is
+        cells psi_t'^-1(c) come from one ``cell_psi_inv`` batch on the
+        codes of ``inner``, and only they are decoded; h is
         translated once per cell and lifted once."""
         fam = self.family
         out = []
@@ -351,10 +359,10 @@ class InducedRep:
                 weight = 1.0 / fam.index(level)
                 target_s = fam.s_mul(level, sp)
                 fam.require_level(target_s)
-                cells = fam.psi_inv_keys(tp, inner.values)
+                codes = fam.cell_psi_inv(tp, level, inner.den, inner.codes)
                 moved = SparseVector.combine(
                     (complex(val) * weight, self.rep.apply_Y(n, h))
-                    for n, val in zip(cells, inner.values.values())
+                    for n, val in zip(fam.cell_keys(None, inner.den, codes), inner.codes.values())
                 )
                 lifted = self.rep.apply_V(fam.s_mul(level, tp), moved)
                 out.append((target_s, lifted))

@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hecke_lab.coeffs import QC
+from hecke_lab.coeffs import QC, accumulate
 from hecke_lab.errors import ConfigError, PrecisionError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import autodil, grpalg
@@ -26,6 +27,7 @@ from hecke_lab.autodil import (
     theta_star_inv,
 )
 from hecke_lab.grpalg import delta
+from test_pairs import ORACLE_FAMILIES, _fractions_built, n_elements
 
 
 def oracle_convolve_eval(fam, f, g, z, level):
@@ -544,3 +546,166 @@ def test_group_algebra_unit_is_chi_K(fam):
     chi_K, and the embedding only re-tags it."""
     assert grpalg.one(fam) == chi_K(fam)
     assert embed_i(grpalg.one(fam)).values == chi_K(fam).values
+
+
+# --- cell codes against the Fraction-keyed route -------------------------------
+
+
+def _fraction_key(fam, k):
+    """A canonical key with Fraction coordinates: canon keeps an int for an
+    all-int input, and the coded route decodes every key to Fractions."""
+    return tuple(map(Fraction, k)) if fam.tag == "matrix" else Fraction(k)
+
+
+def _canon(fam, n, level):
+    return _fraction_key(fam, fam.canon(n, level))
+
+
+def ref_build(fam, level, pairs):
+    return accumulate({}, ((_canon(fam, n, level), QC.of(c)) for n, c in pairs))
+
+
+def ref_refine(fam, level, values, t):
+    if t == level:
+        return values
+    splitters = [fam.psi_s_inv(level, m) for m in fam.coset_reps(fam.s_divide(t, level))]
+    return {_canon(fam, fam.n_add(k, sp), t): v for k, v in values.items() for sp in splitters}
+
+
+def ref_theta_star(fam, s, level, values):
+    """The psi_reps route: the translates of psi_s(c) by psi_a^-1 of the
+    level-s transversal's images."""
+    w = Fraction(1, fam.index(s))
+    shifts = [fam.psi_s_inv(level, pm) for pm in fam.psi_reps(s)]
+    return {
+        _canon(fam, fam.n_add(fam.psi_s(s, c), sh), level): v * w
+        for c, v in values.items() for sh in shifts
+    }
+
+
+def ref_convolve(fam, f_level, f_values, g_level, g_values):
+    m, j = fam.s_meet(f_level, g_level), fam.s_join(f_level, g_level)
+    w = Fraction(1, fam.index(j))
+    pairs = [(fam.n_add(x, y), u * v * w) for x, u in f_values.items() for y, v in g_values.items()]
+    return j, ref_refine(fam, m, ref_build(fam, m, pairs), j)
+
+
+def _same(f, level, want):
+    """f holds exactly want at level: keys, key order, key types and values."""
+    got = f.values
+    assert f.level == level and got == want and list(got) == list(want)
+    assert all(autodil._is_key(k) for k in got)
+
+
+_COEFFS = st.builds(
+    QC, st.fractions(min_value=-3, max_value=3, max_denominator=3), st.integers(-2, 2)
+)
+
+
+@st.composite
+def locfun_cases(draw):
+    fam, ss, levels = draw(st.sampled_from(ORACLE_FAMILIES))
+    a, b, s = (draw(st.sampled_from(ss)) for _ in range(3))
+    terms = st.lists(st.tuples(n_elements(fam, levels), _COEFFS), max_size=4)
+    fpairs = draw(terms)
+    # Repeated cosets make sums, and cancellations, in build.
+    fpairs += draw(st.lists(st.sampled_from(fpairs), max_size=2)) if fpairs else []
+    return fam, a, b, s, fpairs, draw(terms)
+
+
+@given(locfun_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_coded_operations_match_fraction_route(case):
+    """build, refine, convolve, theta_star, theta_star_inv, star and + on
+    cell codes equal the Fraction-keyed route (canon, n_add, psi_reps,
+    psi_s_inv and accumulate on keys) in keys, key order and values, on
+    the six oracle families of test_pairs."""
+    fam, a, b, s, fpairs, gpairs = case
+    f, g = LocFun.build(fam, a, fpairs), LocFun.build(fam, b, gpairs)
+    fv, gv = ref_build(fam, a, fpairs), ref_build(fam, b, gpairs)
+    _same(f, a, fv)
+    _same(g, b, gv)
+    t = fam.s_mul(a, s)
+    _same(f.refine(t), t, ref_refine(fam, a, fv, t))
+    _same(theta_star(s, f), a, ref_theta_star(fam, s, a, fv))
+    idx = Fraction(fam.index(s))
+    _same(theta_star_inv(s, f), t, {_canon(fam, fam.psi_s_inv(s, c), t): v * idx for c, v in fv.items()})
+    _same(f.star(), a, {_canon(fam, fam.n_neg(k), a): v.conjugate() for k, v in fv.items()})
+    j, want = ref_convolve(fam, a, fv, b, gv)
+    _same(convolve(f, g), j, want)
+    _same(f + g, j, accumulate(dict(ref_refine(fam, a, fv, j)), ref_refine(fam, b, gv, j).items()))
+    assert theta_star(s, theta_star_inv(s, f)) == f
+    assert LocFun(fam, a, fv) == f and f == LocFun(fam, a, fv)
+
+
+def test_equality_across_denominators():
+    """== refines to a common level and rescales to a common denominator:
+    theta_star(s, theta_star_inv(s, f)) is f at level a*s over den *
+    index(s), and equals both f and the same dict stored over its least
+    denominator; changing, dropping or adding one key makes it unequal."""
+    for fam, ss, levels in ORACLE_FAMILIES:
+        rng = random.Random(fam.tag)
+        s = ss[-1]
+        n = fam.psi_s(levels[-1], fam.random_M(rng))
+        f = LocFun.build(fam, fam.s_identity, [(n, QC(Fraction(1, 3), Fraction(2))), (fam.n_identity, 5)])
+        g = theta_star(s, theta_star_inv(s, f))
+        values = g.values
+        least = LocFun(fam, g.level, values)
+        assert g.level != f.level and g.den == f.den * fam.index(s) and least.den < g.den
+        assert g == f and f == g and least == g and g == least and least == f
+        key = next(iter(values))
+        changed = dict(values)
+        changed[key] = values[key] + QC.of(1)
+        dropped = {k: v for k, v in values.items() if k != key}
+        extra = dict(values)
+        extra[_canon(fam, fam.psi_s(s, fam.psi_s(s, n)), g.level)] = QC.of(1)
+        for other in (changed, dropped, extra):
+            h = LocFun(fam, g.level, other)
+            assert h != f and f != h and h != g and g != h
+
+
+@pytest.mark.parametrize("fam", [fam for fam, _, _ in ORACLE_FAMILIES], ids=lambda fam: fam.tag)
+def test_constructor_stores_any_dict_exactly(fam):
+    """LocFun(family, level, values) stores its dict exactly, in order, with
+    the very value objects: canonical keys as codes, and a dict with a
+    non-canonical or int-typed key as given (den None), which reads back
+    through ``values`` and ``keys``, compares by its dict, and is refused
+    by the algebra's operations."""
+    level = fam.sample_levels()[1]
+    n = fam.psi_s(level, fam.random_M(random.Random(3)))
+    f = LocFun.build(fam, level, [(n, QC(Fraction(1), Fraction(1, 2))), (fam.n_identity, 2)])
+    values = f.values
+    first = next(iter(values))
+    shifted = tuple(x + 7 for x in first) if fam.tag == "matrix" else first + fam.index(level)
+    tiny = (Fraction(1, 97),) * fam.dim if fam.tag == "matrix" else Fraction(1, 97)
+    cases = [
+        ({k: complex(v) for k, v in values.items()}, True),
+        ({**values, tiny: QC.of(1)}, fam.tag != "matrix" or fam.canon(tiny, level) == tiny),
+        ({shifted: values[first], **{k: v for k, v in values.items() if k != first}}, False),
+        ({0 if fam.tag != "matrix" else (0,) * fam.dim: QC.of(1)}, False),
+    ]
+    for given, coded in cases:
+        g = LocFun(fam, level, given)
+        got = g.values
+        assert list(got) == list(given) and [type(k) for k in got] == [type(k) for k in given]
+        assert all(got[k] is v for k, v in given.items()) and g.keys() == list(given)
+        assert (g.den is not None) == coded
+        assert g == LocFun(fam, level, dict(given))
+    raw = LocFun(fam, level, cases[2][0])
+    assert raw != f and f != raw
+    with pytest.raises((TypeError, AttributeError)):
+        raw.refine(fam.s_mul(level, level))
+
+
+def test_alpha_intertwining_builds_no_fraction_per_cell():
+    """On warm caches, embed_i(alpha(9, a)) == theta_star(9, embed_i(a)) on
+    padic(3), 19,683 cells per term, builds a few Fractions, not one per
+    cell: both sides and the comparison run on cell codes."""
+    fam = PadicFamily(3)
+    a = grpalg.GroupAlgebraElement.build(
+        fam, [(Fraction(1, 3), QC(Fraction(1), Fraction(1, 2))), (Fraction(5, 9), -1)]
+    )
+    assert autodil.embed_i(grpalg.alpha(9, a)) == theta_star(9, autodil.embed_i(a))
+    with _fractions_built() as built:
+        assert autodil.embed_i(grpalg.alpha(9, a)) == theta_star(9, autodil.embed_i(a))
+    assert fam.index(9) == 19_683 and built[0] <= 10

@@ -1,6 +1,7 @@
 """The scenario runner: suites, reports, determinism, and the console entry."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -139,6 +140,48 @@ def test_main_verify_exit_code(tmp_path, capsys):
     assert path.exists()
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_nan_deviation_fails_and_reports_strict_json(monkeypatch):
+    """A NaN deviation fails: from ``_float`` itself, through the ``_worse``
+    fold that the float checks share (``max`` would drop the NaN), and
+    through ``dilation.gram-psd`` given a NaN least eigenvalue.  Each
+    report line is strict JSON: the deviation is null and the note names
+    it."""
+    nan = float("nan")
+    assert math.isnan(cli._worse(nan, 1.0)) and math.isnan(cli._worse(1.0, nan))
+    assert cli._worse(1.0, 2.0) == 2.0 and cli._worse(2.0, 1.0) == 2.0
+
+    def direct(ctx):
+        return cli._float(nan, ctx.tol)
+
+    def folded(ctx):
+        worst = 0.0
+        for dev in (1e-12, nan, 1e-13):
+            worst = cli._worse(worst, dev)
+        return cli._float(worst, ctx.tol)
+
+    gram = next(row for row in cli.CHECKS if row[0] == "dilation.gram-psd")
+    monkeypatch.setattr(cli.dilate.Dilation, "gram_min_eigenvalue", lambda self, vectors: nan)
+    monkeypatch.setattr(
+        cli,
+        "CHECKS",
+        [("algebra.direct", "algebra", "nan", None, direct),
+         ("algebra.folded", "algebra", "nan", None, folded), gram],
+    )
+    cfg = small_config(suite="all")
+    reports = run(cfg)
+    assert [(r.check_id, r.status) for r in reports] == [
+        ("algebra.direct", "fail"), ("algebra.folded", "fail"), ("dilation.gram-psd", "fail"),
+    ]
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    lines = write_report(reports, None, cfg).splitlines()
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    assert all(rec["deviation"] is None and rec["note"].startswith("deviation nan") for rec in records[:3])
+    assert records[-1]["summary"]["fail"] == 3
 
 
 @pytest.mark.parametrize(

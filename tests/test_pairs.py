@@ -609,51 +609,65 @@ def test_solve_coset_matches_fraction_route(case):
         assert fam.solve_coset(s, n, fam.s_identity) == got
 
 
-def _check_codes(fam, codes, decode, want):
-    """The kernel contract: ``decode`` gives the Fraction route's keys in
-    order, coded as Fractions, on the whole batch and on any selection of
-    codes, and equal codes go with equal keys and only with them.  codes
-    is read once, as the callers read it."""
+def _check_codes(fam, level, den, codes, want):
+    """The cell-code contract: ``cell_keys`` gives the Fraction route's
+    keys in order, coded as Fractions, on the whole batch and on any
+    selection of codes; codes are ints, equal codes go with equal keys and
+    only with them, and ``cell_codes`` of the keys, rescaled to den, gives
+    the same codes."""
     codes = list(codes)
-    got = decode(codes)
+    got = fam.cell_keys(level, den, codes)
     assert got == want and _fraction_coded(fam, got)
-    assert len(codes) == len(want)
+    assert len(codes) == len(want) and all(type(c) is int for c in codes)
     for i, j in itertools.product(range(len(codes)), repeat=2):
         assert (codes[i] == codes[j]) == (want[i] == want[j])
     distinct = list(dict.fromkeys(codes))
-    assert decode(distinct) == list(dict.fromkeys(want))
-    assert decode(reversed(distinct)) == list(reversed(decode(distinct)))
+    assert fam.cell_keys(level, den, distinct) == list(dict.fromkeys(want))
+    backwards = fam.cell_keys(level, den, reversed(distinct))
+    assert backwards == list(reversed(fam.cell_keys(level, den, distinct)))
+    least, again = fam.cell_codes(want, level)
+    assert den % least == 0 and fam.cell_rescale(level, least, again, den) == codes
     return got
 
 
 @given(oracle_cases(), st.data())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_translate_matches_fraction_route(case, data):
-    """translate, and sum_codes on batches of several rows, equal
-    canon(n_add(x, y), level) pair by pair, x outer and y inner, and code
-    every output coordinate as a Fraction.  (canon keeps an int for an
-    all-int input, as test_canonical_idempotent_* pin; the outputs are
-    keys, and keys are Fractions.)"""
+    """cell_codes equals canon(k, level) key by key, and sum_codes, on
+    batches of several rows with the left operand canonical at a finer
+    level, equals canon(n_add(x, y), level) pair by pair, x outer and y
+    inner, coding every output coordinate as a Fraction.  (canon keeps an
+    int for an all-int input, as test_canonical_idempotent_* pin; the
+    outputs are keys, and keys are Fractions.)"""
     fam, _, level, x = case
     levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
     keys = data.draw(st.lists(n_elements(fam, levels), max_size=6))
-    want = [fam.canon(fam.n_add(k, x), level) for k in keys]
-    got = fam.translate(x, keys, level)
-    assert got == want and _fraction_coded(fam, got)
+    den, codes = fam.cell_codes(keys, level)
+    assert den == math.lcm(*(c.denominator for k in keys for c in (k if type(k) is tuple else (k,))))
+    got = _check_codes(fam, level, den, codes, [fam.canon(k, level) for k in keys])
     assert [fam.canon(k, level) for k in got] == got
+    a = fam.s_identity if level is None else level
+    finer = fam.s_join(a, data.draw(st.sampled_from(levels)))
     xs = [x] + data.draw(st.lists(n_elements(fam, levels), max_size=3))
     # Repeats make equal sums from distinct pairs.
     ys = keys + data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else keys
-    want = [fam.canon(fam.n_add(a, b), level) for a in xs for b in ys]
-    codes, decode = fam.sum_codes(xs, ys, level)
-    got = _check_codes(fam, codes, decode, want)
+    x_batch, y_batch = (finer, *fam.cell_codes(xs, finer)), (level, *fam.cell_codes(ys, level))
+    den, codes = fam.sum_codes(x_batch, y_batch, level)
+    assert den == math.lcm(x_batch[1], y_batch[1])
+    want = [fam.canon(fam.n_add(p, q), level) for p in xs for q in ys]
+    got = _check_codes(fam, level, den, codes, want)
     # canon reduces through the same HNF steps as the kernel, so check the
     # cosets apart from it: key - (x + y) lies in the level subgroup.
-    a = fam.s_identity if level is None else level
-    sums = [fam.n_add(x, y) for x in xs for y in ys]
+    sums = [fam.n_add(p, q) for p in xs for q in ys]
     assert all(fam.in_level_subgroup(fam.n_add(k, fam.n_neg(z)), a) for k, z in zip(got, sums))
-    for empty in (fam.sum_codes([], ys, level), fam.sum_codes(xs, [], level)):
-        assert list(empty[0]) == [] and empty[1]([]) == []
+    for x_part, y_part in (((finer, 1, []), y_batch), (x_batch, (level, 1, []))):
+        assert list(fam.sum_codes(x_part, y_part, level)[1]) == []
+
+
+def _translated(fam, x, keys, level):
+    """[canon(k + x, level) for k in keys], through ``sum_codes``."""
+    x_batch, k_batch = (level, *fam.cell_codes([x], level)), (level, *fam.cell_codes(keys, level))
+    return fam.cell_keys(level, *fam.sum_codes(x_batch, k_batch, level))
 
 
 # --- one Fraction per coordinate code in the matrix family ----------------------
@@ -673,7 +687,7 @@ def _one_object_per_value(keys):
 
 @pytest.mark.parametrize("F, M", TABLE_FAMILIES)
 def test_matrix_keys_share_one_fraction_per_code(F, M):
-    """solve_coset and translate build exact Fraction coordinates, equal to
+    """solve_coset and sum_codes build exact Fraction coordinates, equal to
     the psi_reps + n_add + canon route, and an equal coordinate is the same
     object across calls."""
     fam = MatrixFamily(F, M)
@@ -687,7 +701,7 @@ def test_matrix_keys_share_one_fraction_per_code(F, M):
             got, again = fam.solve_coset(s, n, level), fam.solve_coset(s, n, level)
             assert got == want == again
             assert _fraction_coded(fam, got) and _one_object_per_value(got + again)
-            moved, moved_again = fam.translate(x, got, level), fam.translate(x, got, level)
+            moved, moved_again = _translated(fam, x, got, level), _translated(fam, x, got, level)
             assert moved == [fam.canon(fam.n_add(k, x), level) for k in got] == moved_again
             assert _fraction_coded(fam, moved) and _one_object_per_value(moved + moved_again)
 
@@ -703,28 +717,6 @@ def test_fraction_table_holds_far_fewer_entries_than_keys():
     assert len(out.values) == fam.index((3, 3)) == 27_000
     codes = sum(len(table) for table in fam._fraction_cache.values())
     assert 0 < codes < 2_700
-
-
-@given(oracle_cases(), st.data())
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_psi_inv_keys_matches_fraction_route(case, data):
-    """psi_inv_keys and psi_inv_codes equal canon(psi_s_inv(s, k)) key by
-    key, in order, code every output coordinate as a Fraction and give
-    canonical keys; equal codes go with equal keys; an empty batch gives
-    an empty list."""
-    fam, s, _, _ = case
-    levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
-    keys = data.draw(st.lists(n_elements(fam, levels), max_size=8))
-    keys += data.draw(st.lists(st.sampled_from(keys), max_size=3)) if keys else []
-    want = [fam.canon(fam.psi_s_inv(s, k)) for k in keys]
-    got = fam.psi_inv_keys(s, keys)
-    assert got == want and _fraction_coded(fam, got)
-    assert [fam.canon(k) for k in got] == got
-    codes, decode = fam.psi_inv_codes(s, keys)
-    _check_codes(fam, codes, decode, want)
-    assert fam.psi_inv_keys(s, []) == []
-    codes, decode = fam.psi_inv_codes(s, [])
-    assert list(codes) == [] and decode([]) == []
 
 
 # --- carrier codes against the Fraction route ----------------------------------
@@ -754,20 +746,31 @@ def test_carrier_codes_match_fraction_route(case, data):
     """``encode`` and ``decode`` round-trip keys, int-typed coordinates
     included, and decode to Fractions; equal keys have equal codes and only
     they do.  ``code_add``, ``code_solve`` and ``code_psi_inv`` decode to
-    ``translate``, ``solve_coset`` and ``psi_inv_keys``, in order, and give
-    the codes that ``encode`` gives those keys.  Neither the codes nor the
-    kernels build a Fraction once the family's caches are warm."""
+    the Fraction routes canon(n_add(k, n)), ``solve_coset`` and
+    canon(psi_s_inv(s, k)), in order, and give the codes that ``encode``
+    gives those keys; ``cell_psi_inv`` on the cell codes of a batch keeps
+    the cell-code contract against canon(psi_s_inv(s, k)), also for an
+    empty batch.  Neither the codes nor the kernels build a Fraction once
+    the family's caches are warm."""
     fam, s, _, n = case
     levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
     keys = data.draw(st.lists(n_elements(fam, levels), max_size=6))
     keys += data.draw(st.lists(st.sampled_from(keys), max_size=2)) if keys else []
     keys += [fam.canon(k) for k in keys]
     codes = fam.encode(keys)
-    outputs = [fam.code_add(n, codes), fam.code_solve(s, codes), fam.code_psi_inv(s, codes)]
+    den, cells = fam.cell_codes(keys)
+
+    def kernels():
+        return [
+            fam.code_add(n, codes), fam.code_solve(s, codes), fam.code_psi_inv(s, codes),
+            fam.cell_psi_inv(s, None, den, cells),
+        ]
+
+    outputs = kernels()
     # Again on the family's warm caches (powers of A_s, transversals).
     with _fractions_built() as built:
-        assert fam.encode(keys) == codes
-        assert [fam.code_add(n, codes), fam.code_solve(s, codes), fam.code_psi_inv(s, codes)] == outputs
+        assert fam.encode(keys) == codes and fam.cell_codes(keys) == (den, cells)
+        assert kernels() == outputs
     assert built[0] == 0
     with _fractions_built() as built:
         Fraction(1, 2)
@@ -778,11 +781,14 @@ def test_carrier_codes_match_fraction_route(case, data):
     for i, j in itertools.product(range(len(keys)), repeat=2):
         assert (codes[i] == codes[j]) == (keys[i] == keys[j])
     wants = [
-        fam.translate(n, keys),
+        [fam.canon(fam.n_add(k, n)) for k in keys],
         [m for k in keys for m in fam.solve_coset(s, k)],
-        fam.psi_inv_keys(s, keys),
+        [fam.canon(fam.psi_s_inv(s, k)) for k in keys],
     ]
     for out, want in zip(outputs, wants):
         got = fam.decode(out)
         assert got == want and _fraction_coded(fam, got)
         assert out == fam.encode(want)
+    got = _check_codes(fam, None, den, outputs[3], wants[2])
+    assert [fam.canon(k) for k in got] == got
+    assert fam.cell_psi_inv(s, None, 1, []) == []

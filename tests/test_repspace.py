@@ -432,8 +432,8 @@ def test_lift_commutes_with_translation(fam):
 
 
 def y_by_fractions(fam, n, v: SparseVector) -> SparseVector:
-    """Y_n on Fraction keys: ``translate``, filled directly."""
-    return SparseVector(dict(zip(fam.translate(n, list(v.values)), v.values.values())))
+    """Y_n on Fraction keys: ``n_add`` and ``canon``, filled directly."""
+    return SparseVector({fam.canon(fam.n_add(k, n)): c for k, c in v.values.items()})
 
 
 def v_by_fractions(fam, s, v: SparseVector) -> SparseVector:
@@ -445,10 +445,9 @@ def v_by_fractions(fam, s, v: SparseVector) -> SparseVector:
 
 
 def vstar_by_keys(fam, s, v: SparseVector) -> SparseVector:
-    """V_s^* on Fraction keys: one ``psi_inv_keys`` batch, merged."""
+    """V_s^* on Fraction keys: ``psi_s_inv`` and ``canon``, merged."""
     w = 1.0 / math.sqrt(fam.index(s))
-    keys = fam.psi_inv_keys(s, list(v.values))
-    return SparseVector.merge(zip(keys, [c * w for c in v.values.values()]))
+    return SparseVector.merge((fam.canon(fam.psi_s_inv(s, k)), c * w) for k, c in v.values.items())
 
 
 def _plain(v: SparseVector) -> SparseVector:
@@ -477,8 +476,8 @@ def _check_mixed_operands(vectors):
 @pytest.mark.parametrize("fam", _four_families(), ids=FAMILY_IDS)
 def test_regular_pair_on_codes_matches_fraction_route(fam):
     """The regular pair and its ``direct_sum`` work on carrier codes; decoded,
-    their outputs are the Fraction-keyed ``translate``, ``solve_coset`` and
-    ``psi_inv_keys`` routes' keys, in order, with the same bits.  Coded and
+    their outputs are the Fraction-keyed ``n_add``, ``solve_coset`` and
+    ``psi_s_inv`` routes' keys, canonicalised, in order, with the same bits.  Coded and
     plain operands mix in +, -, inner and distance without changing a bit."""
     rep = regular_covariant(fam, check=False)
     two = direct_sum(rep, rep)
