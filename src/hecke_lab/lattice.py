@@ -11,10 +11,13 @@ subtracts integer multiples of the HNF's columns top row first, as in the
 reduction modulo an HNF basis of Cohen, GTM 138, section 2.4.  Each
 coordinate costs one list comprehension over the batch, plus one per
 nonzero entry below the diagonal of H.  ``hnf_reduce`` is a batch of one.
+``box_image`` gives a matrix's image of the whole box in the same layout,
+one list comprehension per (row, coordinate) pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -163,16 +166,20 @@ def hnf_reduce(h, v):
 def hnf_reduce_columns(h, cols):
     """The box representatives of a batch of integer vectors modulo the
     lattice of h, in column layout: cols[i] lists coordinate i of every
-    vector, and the result is a new list of d such lists, the vectors in
-    the same order.  The input lists are not changed.  In numerators over
-    den, this reduces y/den modulo the lattice of h/den, for any den.
+    vector, the vectors in the same order.  In numerators over den, this
+    reduces y/den modulo the lattice of h/den, for any den.
+
+    The list cols is consumed: each of its columns is replaced by a new
+    list as soon as that coordinate is reduced, and cols itself is
+    returned.  The columns it held are read, never changed, so a caller
+    that passes a fresh list frees each unreduced column once nothing else
+    holds it, instead of keeping the whole batch twice.
 
     Coordinates are done top row first, each in one step: coordinate i is
     taken mod h_ii, and its floor quotients q = y_i // h_ii take q*h_ri off
     coordinate r for each r > i with h_ri nonzero.  A coordinate whose
     entries all lie in [0, h_ii) has every quotient zero and is skipped.
     """
-    cols = list(cols)
     n = len(cols)
     for i in range(n):
         col = cols[i]
@@ -198,18 +205,37 @@ def hnf_box_count(h) -> int:
 def iter_hnf_box(h):
     """Canonical integer representatives of Z^d modulo the HNF lattice.
 
-    Yields exactly hnf_box_count(h) tuples of ints.  Box vectors are fixed
-    points of the reduction: it walks coordinates top-down and each
-    quotient against the positive diagonal vanishes on [0, h_ii).
+    Yields exactly hnf_box_count(h) tuples of ints, coordinate 0
+    outermost.  Box vectors are fixed points of the reduction: it walks
+    coordinates top-down and each quotient against the positive diagonal
+    vanishes on [0, h_ii).  This one tuple at a time enumeration feeds
+    ``MatrixFamily.iter_coset_reps`` and so the ``psi_reps`` Fraction
+    route, which is kept apart from ``box_image`` so that the tests can
+    compare the integer kernels against it.
     """
-    n = len(h)
-    diag = [h[i][i] for i in range(n)]
+    return itertools.product(*(range(h[i][i]) for i in range(len(h))))
 
-    def rec(i, prefix):
-        if i == n:
-            yield tuple(prefix)
-            return
-        for c in range(diag[i]):
-            yield from rec(i + 1, prefix + [c])
 
-    yield from rec(0, [])
+def box_image(mat, h):
+    """mat*m for every m in the box of h, in column layout (list i holds
+    row i of every image) and in ``iter_hnf_box`` order: the transpose of
+    [mat_vec(mat, m) for m in iter_hnf_box(h)], in values and types.
+
+    Built one box coordinate at a time, with no per-vector loop: box
+    coordinate k spreads every partial entry x of row i over
+    x + a*c for c in range(h_kk), a = mat[i][k], c innermost, so
+    coordinate 0 ends up outermost.  A zero entry only repeats x, as
+    ``mat_vec`` skips it; so a row keeps int entries unless a nonzero
+    entry of it is a Fraction, and an all-zero row is int 0.
+    """
+    cols = [[0] for _ in mat]
+    for k in range(len(h)):
+        steps = range(h[k][k])
+        for i, row in enumerate(mat):
+            a = row[k]
+            if a:
+                moves = [a * c for c in steps]
+                cols[i] = [x + m for x in cols[i] for m in moves]
+            else:
+                cols[i] = [x for x in cols[i] for _ in steps]
+    return cols

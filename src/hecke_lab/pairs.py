@@ -57,7 +57,11 @@ same object wherever it recurs.
   and V_s^*) map codes to codes with no Fraction built or hashed.  The
   solutions of p/q are (p + k*q, q*index(s)); ``matrix`` solves with the
   ``_solve_shifts`` columns mod q*index(s), translates and applies A_s
-  mod each key's L.  Each output is put in lowest terms by one gcd.
+  mod each key's L, each kernel in one column batch over all its keys.
+  Each output is put in lowest terms by one gcd.
+* The matrix transversals that ``_solve_shifts`` and ``_splitters``
+  cache are ``lattice.box_image`` of an integer matrix over a level's HNF
+  box, built a coordinate at a time in column layout.
 
 ``psi_reps`` with ``n_add`` and ``canon``, and ``psi_s_inv`` with
 ``canon``, are the Fraction routes that the tests compare these against.
@@ -76,6 +80,7 @@ from operator import add, mul
 
 from .errors import ConfigError, LevelCapError
 from .lattice import (
+    box_image,
     hermite_normal_form,
     hnf_box_count,
     hnf_reduce,
@@ -1007,16 +1012,17 @@ class MatrixFamily(PairFamily):
 
     def _solve_shifts(self, s, level):
         """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
-        for m in the level-s transversal, in column layout, cached per
-        (s, a)."""
+        for m in the level-s transversal, in column layout and transversal
+        order, cached per (s, a).  The vectors are ``box_image`` of the
+        integer matrix adj(A_s) A_a over the box of A_s's HNF: one pass
+        per (row, coordinate), not one ``mat_vec`` per coset."""
         key = (s, level)
         cached = self._solve_cache.get(key)
         if cached is None:
             D = self.index(s)
             adj = [[int(x * D) for x in row] for row in self._matrix_power((-s[0], -s[1]))]
             lift = adj if level is None else mat_mul(adj, self._matrix_power(level))
-            shifts = [mat_vec(lift, m) for m in iter_hnf_box(self._hnf(s))]
-            cached = self._solve_cache[key] = (adj, [list(col) for col in zip(*shifts)])
+            cached = self._solve_cache[key] = (adj, box_image(lift, self._hnf(s)))
         return cached
 
     def _solve_columns(self, s, level, q, v, count):
@@ -1034,12 +1040,11 @@ class MatrixFamily(PairFamily):
 
     def _splitters(self, s, r):
         """psi_s^-1 = A_s of the level-r transversal, integer vectors in
-        column layout, cached per (s, r)."""
+        column layout and transversal order, cached per (s, r): the
+        ``box_image`` of A_s over the box of A_r's HNF."""
         cached = self._split_cache.get((s, r))
         if cached is None:
-            a_s = self._matrix_power(s)
-            vecs = [mat_vec(a_s, m) for m in iter_hnf_box(self._hnf(r))]
-            cached = self._split_cache[s, r] = [list(col) for col in zip(*vecs)]
+            cached = self._split_cache[s, r] = box_image(self._matrix_power(s), self._hnf(r))
         return cached
 
     def _image(self, mat, cols):
@@ -1131,19 +1136,27 @@ class MatrixFamily(PairFamily):
         return _lowest(cols, moved)
 
     def code_solve(self, s, codes):
-        # _solve at the identity level, where the HNF reduction by the
-        # scaled unit matrix is a mod den per coordinate; v % q makes v/q
-        # canonical, as solve_coset's canon does.
+        """``_solve`` at the identity level for a batch of carrier codes,
+        each key's solutions in transversal order, keys in batch order.
+
+        One column batch over all keys: v % q makes each v/q canonical, as
+        ``solve_coset``'s canon does; adj(A_s) maps the batch's numerator
+        columns at once; and coordinate i of every solution is
+        (adj(A_s) v + q*shift)_i mod q*index(s), the HNF reduction by the
+        scaled unit matrix, over the ``_solve_shifts`` column i.  One
+        ``_lowest`` call puts every solution in lowest terms."""
         count = self._enumerable_index(s)
         adj, shifts = self._solve_shifts(s, None)
-        out = []
-        for *v, q in codes:
-            v = [x % q for x in v]
-            den = q * count
-            base = [sum(a * x for a, x in zip(row, v)) for row in adj]
-            cols = [[(b + q * c) % den for c in col] for b, col in zip(base, shifts)]
-            out += _lowest(cols, itertools.repeat(den))
-        return out
+        if not codes:
+            return []
+        *cols, qs = zip(*codes)
+        bases = self._image(adj, [[x % q for x, q in zip(col, qs)] for col in cols])
+        dens = [q * count for q in qs]
+        cols = [
+            [(b + q * c) % den for b, q, den in zip(base, qs, dens) for c in shift]
+            for base, shift in zip(bases, shifts)
+        ]
+        return _lowest(cols, [den for den in dens for _ in range(count)])
 
     def code_psi_inv(self, s, codes):
         # A_s times the numerators, mod each key's L.
@@ -1161,6 +1174,10 @@ class MatrixFamily(PairFamily):
         return abs(self.detF) ** s[0] * abs(self.detM) ** s[1]
 
     def iter_coset_reps(self, s):
+        """The box of A_s's HNF, one vector at a time from ``iter_hnf_box``,
+        as Fractions.  This is the transversal of the ``psi_reps`` Fraction
+        route, so it stays apart from ``box_image``, which builds the
+        integer kernels' transversals that the tests compare against it."""
         for v in iter_hnf_box(self._hnf(s)):
             yield tuple(Fraction(c) for c in v)
 

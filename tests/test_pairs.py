@@ -12,13 +12,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hecke_lab import grpalg
+from hecke_lab import grpalg, pairs
 from hecke_lab.errors import ConfigError, LevelCapError
 from hecke_lab.lattice import (
+    box_image,
     hermite_normal_form,
+    hnf_box_count,
     hnf_reduce,
     hnf_reduce_columns,
     int_det,
+    iter_hnf_box,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -373,11 +376,14 @@ def test_hnf_reduce_columns_lands_in_box_by_lattice_steps(case, den):
     """Each output vector lies in the box prod [0, h_ii), and its difference
     from the input vector is an integer combination of the columns of h,
     checked by an exact triangular solve; a batch of one equals
-    hnf_reduce on the vector over any denominator."""
+    hnf_reduce on the vector over any denominator.  The list passed in is
+    consumed, its columns replaced by the reduced ones, and the columns it
+    held are left unchanged."""
     h, cols = case
     before = [list(col) for col in cols]
-    out = hnf_reduce_columns(h, cols)
-    assert cols == before and len(out) == len(h)
+    given = list(cols)
+    out = hnf_reduce_columns(h, given)
+    assert out is given and cols == before and len(out) == len(h)
     assert all(len(col) == len(cols[0]) for col in out)
     for y, r in zip(zip(*cols), zip(*out)):
         assert all(0 <= r[i] < h[i][i] for i in range(len(h)))
@@ -386,6 +392,52 @@ def test_hnf_reduce_columns_lands_in_box_by_lattice_steps(case, den):
         scaled = [[den * x for x in row] for row in h]
         one = hnf_reduce_columns(scaled, [[c] for c in y])
         assert hnf_reduce(h, tuple(Fraction(c, den) for c in y)) == tuple(Fraction(col[0], den) for col in one)
+
+
+# Diagonal, skew and 3x3 families whose level HNFs box_image must cover.
+BOX_FAMILIES = [
+    ([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+    ([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+    # 2I + P and I + P, P the cyclic permutation matrix, as in _three_by_three.
+    ([[2, 1, 0], [0, 2, 1], [1, 0, 2]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+]
+_BOX_LEVELS = [(a, b) for a in range(4) for b in range(4)]
+
+
+@st.composite
+def box_image_cases(draw):
+    """The HNF of A_s = F^s0 M^s1 at a level of index at most 1,000, for a
+    pair from commuting_pairs or one of BOX_FAMILIES, and a square matrix
+    of the same size with int or Fraction entries, zeros (and a zero row)
+    included."""
+    F, M = draw(commuting_pairs() | st.sampled_from(BOX_FAMILIES))
+    dim = len(F)
+    dF, dM = abs(int_det(F)), abs(int_det(M))
+    s = draw(st.sampled_from([(a, b) for a, b in _BOX_LEVELS if dF**a * dM**b <= 1000]))
+    h = hermite_normal_form(mat_mul(mat_pow(F, s[0]), mat_pow(M, s[1])))
+    entry = st.sampled_from([0, 0, 1, -2, 5]) | st.builds(
+        Fraction, st.integers(-6, 6), st.integers(1, 4)
+    )
+    kind = draw(st.sampled_from(["int", "mixed", "A_s"]))
+    if kind == "A_s":
+        mat = mat_mul(mat_pow(F, s[0]), mat_pow(M, s[1]))
+    else:
+        ints = st.integers(-7, 7) if kind == "int" else entry
+        mat = draw(st.lists(st.lists(ints, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+    return mat, h
+
+
+@given(box_image_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_box_image_is_the_per_vector_image_in_columns(case):
+    """box_image(mat, h) is [mat_vec(mat, m) for m in iter_hnf_box(h)]
+    transposed into columns: the same values in the same order, with the
+    same int or Fraction type entry by entry."""
+    mat, h = case
+    want = [list(col) for col in zip(*[mat_vec(mat, m) for m in iter_hnf_box(h)])]
+    got = box_image(mat, h)
+    assert got == want and len(got[0]) == hnf_box_count(h)
+    assert [list(map(type, col)) for col in got] == [list(map(type, col)) for col in want]
 
 
 # --- semidirect product ---------------------------------------------------------
@@ -792,3 +844,64 @@ def test_carrier_codes_match_fraction_route(case, data):
     got = _check_codes(fam, None, den, outputs[3], wants[2])
     assert [fam.canon(k) for k in got] == got
     assert fam.cell_psi_inv(s, None, 1, []) == []
+
+
+# --- column-form transversals -------------------------------------------------
+
+
+@contextlib.contextmanager
+def _calls(name):
+    """Count the calls of the pairs-module function name inside the block,
+    in ``count[0]``."""
+    count = [0]
+    original = getattr(pairs, name)
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    setattr(pairs, name, counting)
+    try:
+        yield count
+    finally:
+        setattr(pairs, name, original)
+
+
+@pytest.mark.parametrize("F, M", BOX_FAMILIES)
+def test_transversal_caches_fill_by_columns(F, M):
+    """A cold ``_solve_shifts`` or ``_splitters`` fill calls no
+    ``mat_vec`` and equals the per-coset route, mat_vec of every box
+    vector, transposed, in values, order and types; one ``code_solve``
+    batch calls ``_lowest`` once and equals the per-key batches joined."""
+    fam = MatrixFamily(F, M)
+    levels = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    with _calls("mat_vec") as made:
+        shifts = {(s, a): fam._solve_shifts(s, a) for s in levels for a in (None, (1, 0))}
+        splits = {(s, r): fam._splitters(s, r) for s in levels for r in levels}
+    assert made[0] == 0
+
+    def per_vector(mat, r):
+        return [list(col) for col in zip(*[mat_vec(mat, m) for m in iter_hnf_box(fam._hnf(r))])]
+
+    def typed(cols):
+        return [[(type(c), c) for c in col] for col in cols]
+
+    for (s, a), (adj, got) in shifts.items():
+        lift = adj if a is None else mat_mul(adj, fam._matrix_power(a))
+        assert typed(got) == typed(per_vector(lift, s))
+    for (s, r), got in splits.items():
+        assert typed(got) == typed(per_vector(fam._matrix_power(s), r))
+    # The wrapper does see a call.
+    with _calls("mat_vec") as made:
+        fam.psi((1, 0), fam.n_identity)
+    assert made[0] == 1
+
+    keys = [fam.psi_s((1, 1), (Fraction(i), Fraction(3 - 2 * i))) for i in range(5)]
+    codes = fam.encode(keys + [fam.n_identity, keys[0]])
+    for s in levels:
+        with _calls("_lowest") as made:
+            batch = fam.code_solve(s, codes)
+        assert made[0] == 1
+        assert batch == [m for c in codes for m in fam.code_solve(s, [c])]
+        assert all(type(x) is int for code in batch for x in code)
+        assert fam.decode(batch) == [m for k in fam.decode(codes) for m in fam.solve_coset(s, k)]
