@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, LevelCapError, PrecisionError
-from .pairs import BostConnesFamily, MatrixFamily, PairFamily
+from .pairs import (
+    BostConnesFamily,
+    MatrixFamily,
+    PairFamily,
+    _int_from_json,
+    _is_prime,
+    json_field,
+    json_list,
+)
 from .tower import ExactElement, TruncatedElement
 
 
@@ -128,10 +136,18 @@ class AdeleTruncation:
 
     @staticmethod
     def from_json(data) -> "AdeleTruncation":
-        return AdeleTruncation.build(
-            int(data["m"]),
-            [PadicComponent(int(c["p"]), int(c["l"]), int(c["r"])) for c in data["components"]],
-        )
+        def field(rec, name, what):
+            return _int_from_json(json_field(rec, name, what), f"{what}'s {name!r}")
+
+        comps = []
+        for rec in json_list(json_field(data, "components", "an adele"), "an adele's 'components'"):
+            p, l, r = (field(rec, name, "an adele component") for name in ("p", "l", "r"))
+            if not _is_prime(p):
+                raise ConfigError(f"an adele component's 'p' must be a prime, got {p}")
+            if l < 0:
+                raise ConfigError(f"an adele component's 'l' must be at least 0, got {l}")
+            comps.append(PadicComponent(p, l, r))
+        return AdeleTruncation.build(field(data, "m", "an adele"), comps)
 
 
 def mu_m(x: TruncatedElement, m: int) -> AdeleTruncation:

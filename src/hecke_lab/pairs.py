@@ -20,21 +20,8 @@ for ``matrix``) at the API, but the kernels below write their inputs as
 integer numerators over one denominator and compute integer codes,
 instead of adding and reducing Fractions per coset.  ``matrix`` handles a
 whole batch of keys in column layout, one list of numerators per
-coordinate, reduced together by ``lattice.hnf_reduce_columns``; where it
-builds keys it reads each coordinate from a per-family table of Fractions
-for its denominator, so a repeated coordinate is built once and is the
-same object wherever it recurs.
+coordinate, reduced together by ``lattice.hnf_reduce_columns``.
 
-* ``solve_coset(s, n, a)`` for the scalar families, with n = p/q canonical
-  at level a: the solutions are (p + k*q*index(a)) / (q*index(s)) for k in
-  range(index(s)).  Each lies in [0, index(a)), so it is canonical at
-  level a as it stands: no modular reduction is needed.
-* ``solve_coset(s, n, a)`` for ``matrix``, with n = v/q and D = index(s):
-  the numerators over L = q*D of the solutions are adj(A_s)(v + q*A_a m)
-  for m in the level-s transversal, where A_s = F^s0 M^s1 and
-  adj(A_s) = D*A_s^-1.  They are reduced together, column by column, by
-  the integer HNF of A_a scaled by L, which at the identity level is a
-  mod L per coordinate.
 * Cell codes, the storage of ``autodil.LocFun``: at a level a and over a
   denominator L, a key x canonical at level a is one int, x*L for the
   scalar families, and for ``matrix`` the numerators x*L packed in mixed
@@ -44,10 +31,18 @@ same object wherever it recurs.
   built: ``cell_rescale`` (to a multiple of L), ``sum_codes`` (canon(x + y)
   for every pair of two batches, for ``convolve`` and the corner
   closed form), ``cell_refine`` (the level-t cells below each level-s
-  cell), ``cell_solve`` (``solve_coset`` for a batch, over L*index(s):
-  range(c, L*index(s), L) at the identity level of the scalar families),
-  ``cell_psi_inv`` (canon(psi_s^-1(x)) at the identity or at a*s) and
-  ``cell_neg`` (canon(-x, a)).
+  cell), ``cell_solve`` (below), ``cell_psi_inv`` (canon(psi_s^-1(x)) at
+  the identity or at a*s) and ``cell_neg`` (canon(-x, a)).
+* ``cell_solve(s, a, L, codes)``, the one solver behind ``solve_coset``,
+  ``theta_star`` and the corner closed form, codes the level-a solutions
+  of each key over L*index(s).  For the scalar families, with x = c/L,
+  they are c + k*L*index(a) for k in range(index(s)).  Each lies in
+  [0, L*index(a)*index(s)), so it is canonical at level a as it stands:
+  no modular reduction is needed.  For ``matrix``, with x = v/L and
+  D = index(s), their numerators are adj(A_s)(v + L*A_a m) for m in the
+  level-s transversal, where A_s = F^s0 M^s1 and adj(A_s) = D*A_s^-1.
+  They are reduced together, column by column, by the integer HNF of A_a
+  scaled by L*D, which at the identity level is a mod L*D per coordinate.
 * ``encode(keys)`` gives each N/M key one carrier code that does not
   depend on the batch: (p, q), the key p/q in lowest terms, for the scalar
   families, and (n_1, ..., n_d, L) with L the least common denominator
@@ -101,6 +96,8 @@ ENUMERATION_CAP = 2_000_000
 
 
 def _env_cap():
+    """HECKE_LAB_LEVEL_CAP as a list of one or two positive ints, or None
+    when it is unset."""
     raw = os.environ.get(ENV_LEVEL_CAP)
     if raw is None:
         return None
@@ -110,11 +107,28 @@ def _env_cap():
         raise ConfigError(f"bad {ENV_LEVEL_CAP}={raw!r}") from exc
     if any(x < 1 for x in parts):
         raise ConfigError(f"{ENV_LEVEL_CAP} must be positive, got {raw!r}")
+    if len(parts) > 2:
+        raise ConfigError(f"{ENV_LEVEL_CAP} takes one or two integers, got {raw!r}")
     return parts
+
+
+def _scalar_cap(default):
+    """A scalar family's cap: HECKE_LAB_LEVEL_CAP, which must then be one
+    integer, or default when it is unset."""
+    env = _env_cap()
+    if env is None:
+        return default
+    if len(env) != 1:
+        raise ConfigError(f"{ENV_LEVEL_CAP} takes one integer for a scalar family, got {env}")
+    return env[0]
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
 class PairFamily:
@@ -282,24 +296,13 @@ class PairFamily:
         psi_s^-1 maps the level-a subgroup into itself, n that are distinct
         at level a have disjoint solution sets.
 
-        In integers, with n = p/q canonical at level a: the scalar families'
-        solutions are (p + k*q*index(a)) / (q*index(s)) for k in
-        range(index(s)), already in [0, index(a)) and so canonical without
-        reduction.  For ``matrix``, with n = v/q, the solutions' numerators
-        over L = q*index(s) are adj(A_s)(v + q*A_a m).  They are built as
-        one batch in column layout, coordinate i of every solution in one
-        list, and reduced together by the HNF of A_a scaled by L, which at
-        the identity level is a mod L per coordinate.
-
-        The Fraction route through ``psi_reps`` is the reference the tests
-        compare against.
+        This is ``cell_solve`` on the cell code of n, decoded; the Fraction
+        route through ``psi_reps`` is the reference the tests compare
+        against.
         """
-        count = self._enumerable_index(s)
-        return self._solve(s, self.canon(n, level), level, count)
-
-    def _solve(self, s, n, level, count):
-        """``solve_coset`` for n already canonical at level; count = index(s)."""
-        raise NotImplementedError
+        den, codes = self.cell_codes([n], level)
+        den, (block,) = self.cell_solve(s, level, den, codes)
+        return self.cell_keys(level, den, block)
 
     # -- cell codes: level-a keys as ints over one denominator ---------------
     #
@@ -476,7 +479,7 @@ def _int_from_json(data, what: str) -> int:
 class _RationalFamily(PairFamily):
     """The families with N inside Q and M = Z, whose level-s subgroup is
     index(s)*Z: their shared group law and serialization, and the integer
-    coding of ``solve_coset`` and of the cell and carrier codes.
+    coding of the cell and carrier codes.
     ``canon`` stays per family, because it is hot and ``index`` validates
     its argument.  Subclasses alias ``n_add`` and ``iter_coset_reps`` into
     their own namespace, where per-family instrumentation
@@ -509,13 +512,6 @@ class _RationalFamily(PairFamily):
     def _modulus(self, level):
         return 1 if level is None else self.index(level)
 
-    def _solve(self, s, n, level, count):
-        # n = p/q lies in [0, index(a)), so (p + k*q*index(a)) / (q*index(s))
-        # does too for k < index(s): canonical without reduction.
-        p, q = n.numerator, n.denominator
-        step, den = q * self._modulus(level), q * count
-        return [Fraction(p + k * step, den) for k in range(count)]
-
     def cell_codes(self, keys, level=None):
         keys = list(keys)
         den = math.lcm(*(k.denominator for k in keys))
@@ -544,8 +540,8 @@ class _RationalFamily(PairFamily):
         return [m for c in codes for m in range(c, top, step)]
 
     def cell_solve(self, s, level, den, codes):
-        # _solve over the new den = den*index(s): n = c/den gives the
-        # numerators c + k*den*index(a), k < index(s), canonical as they are.
+        # Over the new den = den*index(s), n = c/den gives the numerators
+        # c + k*den*index(a), k < index(s), canonical as they are.
         count = self._enumerable_index(s)
         step = self._modulus(level) * den
         return den * count, [range(c, step * count, step) for c in codes]
@@ -577,7 +573,7 @@ class _RationalFamily(PairFamily):
 
     def code_solve(self, s, codes):
         # The solutions of p/q are (p + k*q) / (q*index(s)), k < index(s),
-        # as in _solve at the identity level; p % q makes p/q canonical.
+        # as in cell_solve at the identity level; p % q makes p/q canonical.
         count = self._enumerable_index(s)
         return [
             (m // g, den // g)
@@ -606,8 +602,7 @@ class BostConnesFamily(_RationalFamily):
     tag = "bost-connes"
 
     def __init__(self, level_cap: int = 5040):
-        env = _env_cap()
-        self.level_cap = env[0] if env else level_cap
+        self.level_cap = _scalar_cap(level_cap)
 
     s_identity = property(lambda self: 1)
     g_identity = property(lambda self: Fraction(1))
@@ -691,11 +686,10 @@ class PadicFamily(_RationalFamily):
     def __init__(self, p: int, index_cap: int = 5040):
         if not _is_int(p):
             raise ConfigError(f"padic family needs an integer prime, got {p!r}")
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ConfigError(f"padic family needs a prime, got {p}")
         self.p = p
-        env = _env_cap()
-        self.index_cap = env[0] if env else index_cap
+        self.index_cap = _scalar_cap(index_cap)
 
     s_identity = property(lambda self: 0)
     g_identity = property(lambda self: 0)
@@ -784,20 +778,6 @@ def _reduce_mod(n, mod):
     return n % mod
 
 
-class _FractionTable(dict):
-    """{c: Fraction(c, den)} for one denominator den, filled on a miss."""
-
-    __slots__ = ("den",)
-
-    def __init__(self, den):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, c):
-        x = self[c] = Fraction(c, self.den)
-        return x
-
-
 def _numerators(keys, den):
     """The keys' coordinates as integer numerators over den, in column
     layout: one list per coordinate."""
@@ -856,7 +836,6 @@ class MatrixFamily(PairFamily):
         self._hnf_cache = {}
         self._solve_cache = {}
         self._split_cache = {}
-        self._fraction_cache = {}
         self._scaled_hnf_cache = {}
         # M = Z^d has the identity as its HNF; its box [0, 1)^d is canonical mod M.
         self._unit = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
@@ -962,28 +941,6 @@ class MatrixFamily(PairFamily):
             scaled = self._scaled_hnf_cache[level, den] = [[den * x for x in row] for row in h]
         return hnf_reduce_columns(scaled, cols)
 
-    def _decode(self, den, cols):
-        """The keys of reduced numerators over den in column layout, as
-        tuples of Fractions in the batch's order.
-
-        Each coordinate c/den is read through ``map`` from the table for
-        den in ``_fraction_cache``, a ``_FractionTable`` that builds
-        Fraction(c, den) on first use, and ``zip`` puts the columns
-        together into keys.  A repeated code then builds no Fraction, and
-        equal coordinates from one den are one object, which dict lookups
-        and ``==`` on keys match by identity before calling
-        ``Fraction.__eq__``.  The fill is idempotent: a racing second fill
-        stores an equal Fraction, which costs only the sharing.
-        Coordinates repeat across keys, so the tables stay small: 27,000
-        keys of a level-(3, 3) ``alpha`` share about a thousand codes.  The
-        scalar families keep no such table, because each of their keys is
-        one Fraction: the table would keep every key alive."""
-        table = self._fraction_cache.get(den)
-        if table is None:
-            table = self._fraction_cache[den] = _FractionTable(den)
-        read = table.__getitem__
-        return list(zip(*[map(read, col) for col in cols]))
-
     def _radices(self, level, den):
         """The mixed radix of cell codes over den at level: den*h_ii for
         every coordinate but the last, h the level's HNF."""
@@ -1033,11 +990,6 @@ class MatrixFamily(PairFamily):
         cols = [[b + q * c for c in col] for b, col in zip(base, shifts)]
         return self._reduce(level, q * count, cols)
 
-    def _solve(self, s, n, level, count):
-        q = math.lcm(*(x.denominator for x in n))
-        v = [x.numerator * (q // x.denominator) for x in n]
-        return self._decode(q * count, self._solve_columns(s, level, q, v, count))
-
     def _splitters(self, s, r):
         """psi_s^-1 = A_s of the level-r transversal, integer vectors in
         column layout and transversal order, cached per (s, r): the
@@ -1066,7 +1018,8 @@ class MatrixFamily(PairFamily):
         return den, list(self._pack(level, den, self._reduce(level, den, _numerators(keys, den))))
 
     def cell_keys(self, level, den, codes):
-        return self._decode(den, self._unpack(level, den, list(codes)))
+        cols = self._unpack(level, den, list(codes))
+        return list(zip(*[[Fraction(c, den) for c in col] for col in cols]))
 
     def cell_rescale(self, level, den, codes, new):
         return list(self._pack(level, new, self._unpack(level, den, codes, new // den)))
@@ -1110,16 +1063,7 @@ class MatrixFamily(PairFamily):
         return out
 
     def decode(self, codes):
-        """Coordinates are read from ``_fraction_cache``'s tables, as in
-        ``_decode``, so equal coordinates are one object."""
-        tables = self._fraction_cache
-        out = []
-        for *nums, den in codes:
-            table = tables.get(den)
-            if table is None:
-                table = tables[den] = _FractionTable(den)
-            out.append(tuple(map(table.__getitem__, nums)))
-        return out
+        return [tuple(Fraction(c, den) for c in nums) for *nums, den in codes]
 
     def code_add(self, n, codes):
         # k/L + a/b = (k*b + a*L) / (L*b) per coordinate, mod 1.
@@ -1136,7 +1080,7 @@ class MatrixFamily(PairFamily):
         return _lowest(cols, moved)
 
     def code_solve(self, s, codes):
-        """``_solve`` at the identity level for a batch of carrier codes,
+        """``cell_solve`` at the identity level for a batch of carrier codes,
         each key's solutions in transversal order, keys in batch order.
 
         One column batch over all keys: v % q makes each v/q canonical, as

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PrecisionError
-from .pairs import PairFamily
+from .pairs import PairFamily, json_field
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class TruncatedElement:
 
     @staticmethod
     def from_json(family: PairFamily, data) -> "TruncatedElement":
-        return TruncatedElement.make(
-            family, family.s_from_json(data["level"]), family.n_from_json(data["coset"])
-        )
+        level = family.s_from_json(json_field(data, "level", "a truncated element"))
+        coset = family.n_from_json(json_field(data, "coset", "a truncated element"))
+        return TruncatedElement.make(family, level, coset)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,38 @@ def test_adele_truncation_roundtrip(bc):
     assert AdeleTruncation.from_json(data) == a
 
 
+def _adele_json():
+    return AdeleTruncation.build(3, [PadicComponent(2, 2, 3), PadicComponent(3, 2, 4)]).to_json()
+
+
+@pytest.mark.parametrize("field", ["m", "components", "p", "l", "r"])
+def test_from_json_names_a_missing_field(field):
+    data = _adele_json()
+    del (data if field in data else data["components"][0])[field]
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        AdeleTruncation.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("m", 2.9), ("m", True), ("m", "3"), ("l", 1.5), ("l", -1), ("p", 4), ("p", 1),
+     ("p", 2.0), ("r", None), ("components", 5)],
+)
+def test_from_json_refuses_malformed_fields(field, bad):
+    """No silent coercion: a float, bool or string is refused where int()
+    would truncate it, as are a negative precision and a non-prime."""
+    data = _adele_json()
+    (data if field in data else data["components"][0])[field] = bad
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        AdeleTruncation.from_json(data)
+
+
+def test_from_json_refuses_malformed_records():
+    for data in ([], None, "x", {"m": 1, "components": [5]}):
+        with pytest.raises(ConfigError):
+            AdeleTruncation.from_json(data)
+
+
 def test_mu_chart_and_equality(bc):
     x = TruncatedElement.make(bc, 4, Fraction(5, 3))
     a = mu_m(x, 3)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hecke_lab import grpalg, pairs
+from hecke_lab import pairs
 from hecke_lab.errors import ConfigError, LevelCapError
 from hecke_lab.lattice import (
     box_image,
@@ -531,6 +531,25 @@ def test_level_cap_env_must_be_positive(raw, monkeypatch):
         MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("raw", ["3,5", "3,5,7"])
+def test_level_cap_env_part_count(raw, monkeypatch):
+    """A scalar family's cap is one integer and a matrix family's one or
+    two; extra parts are refused, not dropped."""
+    monkeypatch.setenv("HECKE_LAB_LEVEL_CAP", raw)
+    with pytest.raises(ConfigError):
+        BostConnesFamily()
+    with pytest.raises(ConfigError):
+        PadicFamily(3)
+    if raw == "3,5,7":
+        with pytest.raises(ConfigError):
+            MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
+    else:
+        assert MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]).level_cap == (3, 5)
+    monkeypatch.setenv("HECKE_LAB_LEVEL_CAP", "3")
+    assert BostConnesFamily().level_cap == PadicFamily(3).index_cap == 3
+    assert MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]).level_cap == (3, 3)
+
+
 def test_enumeration_cap(mat):
     with pytest.raises(LevelCapError):
         mat.coset_reps((12, 12))
@@ -642,15 +661,23 @@ def _fraction_coded(fam, xs):
     )
 
 
-@given(oracle_cases())
-@settings(max_examples=300, derandomize=True, deadline=None)
-def test_solve_coset_matches_fraction_route(case):
-    """solve_coset at any level equals psi_reps + n_add + canon, the route
-    it replaced, in values, coordinate types and transversal order."""
-    fam, s, level, n = case
+def _solve_route(fam, s, n, level):
+    """The level-a solutions of n by psi_reps + n_add + canon."""
     a = fam.s_identity if level is None else level
     base = fam.psi_s(s, fam.canon(n, level))
-    want = [fam.canon(fam.n_add(base, fam.psi_s_inv(a, pm)), level) for pm in fam.psi_reps(s)]
+    return [fam.canon(fam.n_add(base, fam.psi_s_inv(a, pm)), level) for pm in fam.psi_reps(s)]
+
+
+@given(oracle_cases(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_solve_coset_matches_fraction_route(case, data):
+    """solve_coset at any level equals psi_reps + n_add + canon, the route
+    it replaced, in values, coordinate types and transversal order; so
+    does each block of one ``cell_solve`` batch of 1-6 keys, the kernel
+    that ``theta_star`` and the corner closed form run."""
+    fam, s, level, n = case
+    a = fam.s_identity if level is None else level
+    want = _solve_route(fam, s, n, level)
     got = fam.solve_coset(s, n, level)
     assert got == want
     assert _types(got) == _types(want) and _fraction_coded(fam, got)
@@ -659,6 +686,15 @@ def test_solve_coset_matches_fraction_route(case):
     assert all(fam.in_level_subgroup(fam.n_add(fam.psi_s_inv(s, m), fam.n_neg(n)), a) for m in got)
     if level is None:
         assert fam.solve_coset(s, n, fam.s_identity) == got
+    levels = next(lv for f, _, lv in ORACLE_FAMILIES if f is fam)
+    keys = data.draw(st.lists(n_elements(fam, levels), min_size=1, max_size=6))
+    den, codes = fam.cell_codes(keys, level)
+    out, blocks = fam.cell_solve(s, level, den, codes)
+    assert out == den * fam.index(s) and len(blocks) == len(keys)
+    for k, block in zip(keys, blocks):
+        block = list(block)
+        assert all(type(c) is int for c in block)
+        assert fam.cell_keys(level, out, block) == _solve_route(fam, s, k, level)
 
 
 def _check_codes(fam, level, den, codes, want):
@@ -722,53 +758,30 @@ def _translated(fam, x, keys, level):
     return fam.cell_keys(level, *fam.sum_codes(x_batch, k_batch, level))
 
 
-# --- one Fraction per coordinate code in the matrix family ----------------------
+# --- exact matrix keys on the Fraction route ---------------------------------
 
 
-TABLE_FAMILIES = [
-    ([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
-    ([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
-]
-
-
-def _one_object_per_value(keys):
-    """Whether equal coordinates among keys are the same object."""
-    seen = {}
-    return all(seen.setdefault(c, c) is c for k in keys for c in k)
-
-
-@pytest.mark.parametrize("F, M", TABLE_FAMILIES)
-def test_matrix_keys_share_one_fraction_per_code(F, M):
+@pytest.mark.parametrize(
+    "F, M",
+    [
+        ([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        ([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+    ],
+)
+def test_matrix_solve_and_sum_codes_give_the_fraction_route_keys(F, M):
     """solve_coset and sum_codes build exact Fraction coordinates, equal to
-    the psi_reps + n_add + canon route, and an equal coordinate is the same
-    object across calls."""
+    the psi_reps + n_add + canon route, and equal across repeated calls."""
     fam = MatrixFamily(F, M)
     n = fam.canon(fam.psi_s((1, 1), (Fraction(1), Fraction(2))))
     x = fam.psi_s((1, 0), (Fraction(3), Fraction(-1)))
     for level in (None, (1, 0), (1, 1)):
-        a = fam.s_identity if level is None else level
         for s in ((1, 0), (0, 1), (1, 1)):
-            base = fam.psi_s(s, fam.canon(n, level))
-            want = [fam.canon(fam.n_add(base, fam.psi_s_inv(a, pm)), level) for pm in fam.psi_reps(s)]
+            want = _solve_route(fam, s, n, level)
             got, again = fam.solve_coset(s, n, level), fam.solve_coset(s, n, level)
-            assert got == want == again
-            assert _fraction_coded(fam, got) and _one_object_per_value(got + again)
+            assert got == want == again and _fraction_coded(fam, got)
             moved, moved_again = _translated(fam, x, got, level), _translated(fam, x, got, level)
             assert moved == [fam.canon(fam.n_add(k, x), level) for k in got] == moved_again
-            assert _fraction_coded(fam, moved) and _one_object_per_value(moved + moved_again)
-
-
-def test_fraction_table_holds_far_fewer_entries_than_keys():
-    """The tables are keyed by coordinate code, not by key: 27,000 keys of
-    a level-(3, 3) alpha share about a thousand Fractions, counted over
-    the per-denominator tables, so they cost far less memory than the keys
-    themselves."""
-    fam = MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]])
-    n = fam.canon(fam.psi_s((1, 1), (Fraction(1), Fraction(2))))
-    out = grpalg.alpha((3, 3), grpalg.delta(fam, n))
-    assert len(out.values) == fam.index((3, 3)) == 27_000
-    codes = sum(len(table) for table in fam._fraction_cache.values())
-    assert 0 < codes < 2_700
+            assert _fraction_coded(fam, moved)
 
 
 # --- carrier codes against the Fraction route ----------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_lab.errors import PrecisionError
+from hecke_lab.errors import ConfigError, PrecisionError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import tower
 from hecke_lab.tower import ExactElement, TruncatedElement, embed_j, theta_apply, theta_inv_apply
@@ -158,6 +158,20 @@ def test_serialization_roundtrip(bc):
     data = x.to_json()
     assert data == {"level": 12, "coset": bc.n_to_json(x.coset)}
     assert TruncatedElement.from_json(bc, data) == x
+
+
+@pytest.mark.parametrize("field", ["level", "coset"])
+def test_from_json_names_a_missing_field(bc, field):
+    data = TruncatedElement.make(bc, 12, Fraction(17, 3)).to_json()
+    del data[field]
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        TruncatedElement.from_json(bc, data)
+
+
+def test_from_json_refuses_malformed_records(bc):
+    for data in ([], None, {"level": 1.5, "coset": "1/2"}, {"level": 2, "coset": 0.5}):
+        with pytest.raises(ConfigError):
+            TruncatedElement.from_json(bc, data)
 
 
 def test_separation_witnesses(bc, p2):
