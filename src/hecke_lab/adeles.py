@@ -23,6 +23,7 @@ from .pairs import (
     MatrixFamily,
     PairFamily,
     _int_from_json,
+    _is_int,
     _is_prime,
     json_field,
     json_list,
@@ -48,13 +49,25 @@ def factor(n: int) -> dict:
 
 @dataclass(frozen=True)
 class PadicComponent:
-    """A residue modulo p^l: one coordinate of an integer adele."""
+    """A residue modulo p^l: one coordinate of an integer adele.
+
+    p must be a prime, l an int at least 0 and r an int (bools are not
+    ints here); anything else is a ConfigError, never a coercion."""
 
     p: int
     l: int
     r: int
 
     def __post_init__(self):
+        for name in ("p", "l", "r"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"an adele component's {name!r} must be an integer, got {getattr(self, name)!r}"
+                )
+        if not _is_prime(self.p):
+            raise ConfigError(f"an adele component's 'p' must be a prime, got {self.p}")
+        if self.l < 0:
+            raise ConfigError(f"an adele component's 'l' must be at least 0, got {self.l}")
         object.__setattr__(self, "r", self.r % self.p**self.l)
 
     def lower(self, l: int) -> "PadicComponent":
@@ -110,9 +123,12 @@ class AdeleTruncation:
 
     @staticmethod
     def build(m: int, components) -> "AdeleTruncation":
-        if m < 1:
-            raise ConfigError("the scaling denominator must be positive")
-        comps = tuple(sorted(components, key=lambda c: c.p))
+        if not _is_int(m) or m < 1:
+            raise ConfigError(f"the scaling denominator must be a positive integer, got {m!r}")
+        comps = tuple(components)
+        if not all(isinstance(c, PadicComponent) for c in comps):
+            raise ConfigError("adele components must be PadicComponent values")
+        comps = tuple(sorted(comps, key=lambda c: c.p))
         primes = [c.p for c in comps]
         if len(set(primes)) != len(primes):
             raise ConfigError("components must have pairwise distinct primes")
@@ -142,10 +158,6 @@ class AdeleTruncation:
         comps = []
         for rec in json_list(json_field(data, "components", "an adele"), "an adele's 'components'"):
             p, l, r = (field(rec, name, "an adele component") for name in ("p", "l", "r"))
-            if not _is_prime(p):
-                raise ConfigError(f"an adele component's 'p' must be a prime, got {p}")
-            if l < 0:
-                raise ConfigError(f"an adele component's 'l' must be at least 0, got {l}")
             comps.append(PadicComponent(p, l, r))
         return AdeleTruncation.build(field(data, "m", "an adele"), comps)
 

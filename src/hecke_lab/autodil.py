@@ -8,10 +8,10 @@ coset carries mass index(s)^-1; that constant is baked into convolution.
 Key operations:
 
 * ``refine``      - re-express a function at a deeper level (same function);
-* ``convolve``    - Haar-weighted convolution (also spelled ``f * g``),
-                    paired at the meet level by the cylinder identity
+* ``convolve``    - Haar-weighted convolution, paired at the meet level by
+                    the cylinder identity
                     1_{x+H} * 1_{y+K} = mu(H cap K) 1_{x+y+H+K}, and summed
-                    in integer numerators, one ``QC`` per output key;
+                    in integer numerators, one value code per output key;
 * ``embed_i``     - the unital embedding of the N/M group algebra onto the
                     level-identity functions, sending a generator to the
                     indicator of its cylinder;
@@ -21,29 +21,41 @@ Key operations:
 
 The group algebra of N/M is the identity level of this algebra:
 ``grpalg.GroupAlgebraElement`` is a ``LocFun`` pinned there.  Values are
-exact ``QC`` coefficients throughout.
+exact Gaussian rationals throughout.
 
 Storage.  A ``LocFun`` keeps its level, one common denominator L (``den``)
-and a dict ``codes`` from one int per key to its value: the cell code of
-``PairFamily.cell_codes``, x*L for the scalar families and the numerators
-of x over L packed in mixed radix for ``matrix``.  Every operation above
-runs code to code through the family's cell kernels (``cell_refine``,
-``sum_codes``, ``cell_solve``, ``cell_psi_inv``, ``cell_neg``), so it
-builds and hashes no Fraction: ``theta_star`` writes its outputs over
-L * index(s), and at the identity level the solutions of x = c/L are the
-codes range(c, L * index(s), L).  ``==`` refines both sides to a common
-level, rescales both to the lcm of their denominators and compares the
-dicts.
+and a dict ``codes`` from one int per key to one value code per key.  The
+key's int is the cell code of ``PairFamily.cell_codes``: x*L for the
+scalar families, and the numerators of x over L packed in mixed radix for
+``matrix``.  The value code is the tuple (a, b, d) of ints for
+(a + b*i)/d, d > 0 and gcd 1 (``coeffs``); the form is unique, so equal
+values are equal tuples.  Every operation above runs code to code:
 
-``values``, the Fraction-keyed dict, is decoded in stored key order on each
-read and is not cached: a cached copy would sit next to the codes for the
-life of the object, and at the largest levels (padic(3) level 9, matrix
-level (3, 3)) each copy is megabytes, while the benchmark's checks read
-both sides of an identity one after the other.  In the package only
-output (``to_json``, the CLI) reads it.
+* keys through the family's cell kernels (``cell_refine``, ``sum_codes``,
+  ``cell_solve``, ``cell_psi_inv``, ``cell_neg``), so no Fraction is built
+  or hashed.  ``theta_star`` writes its outputs over L * index(s), and at
+  the identity level the solutions of x = c/L are the codes
+  range(c, L * index(s), L);
+* values through the ``code_*`` kernels of ``coeffs``, one value code per
+  input cell for the spreads (``theta_star`` shares it across the cell's
+  index(s) targets), and integer numerators for ``convolve``.
 
-Sums of values go through ``coeffs.accumulate``, the merge the float
-vectors of ``repspace`` use: each code is hashed once, a code whose sum is
+``==`` refines both sides to a common level, rescales both to the lcm of
+their denominators and compares the dicts: one dict compare of ints and
+int tuples, in C.
+
+``QC`` objects appear only at the boundary.  ``build`` codes its
+coefficients, and ``values``, the Fraction-keyed dict, decodes the keys in
+stored order and one ``QC`` per distinct value code, shared by the cells
+that hold it; ``eval_at``, ``mass`` and ``to_json`` decode too.  ``values``
+is not cached: a cached copy would sit next to the codes for the life of
+the object, and at the largest levels (padic(3) level 9, matrix level
+(3, 3)) each copy is megabytes, while the benchmark's checks read both
+sides of an identity one after the other.  In the package only output
+(``to_json``, the CLI) reads it.
+
+Sums of values go through ``coeffs.accumulate_codes``, the merge rule of
+``coeffs.accumulate``: each key's code is hashed once, a key whose sum is
 zero is dropped, and one that comes back is appended at the end, so key
 order is a function of the order of the summands.  Maps that are injective
 on cosets (``star``, ``scale``, ``theta_star``, ``theta_star_inv``,
@@ -55,7 +67,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeffs import QC, accumulate, qc_from_ints, qc_numerators
+from .coeffs import (
+    QC,
+    accumulate_codes,
+    code_from_ints,
+    code_mul,
+    code_numerators,
+    code_scale,
+    qc_code,
+    qc_decode,
+    qc_from_ints,
+)
 from .errors import PrecisionError
 from .pairs import PairFamily, frac_to_str, frac_from_json, json_field, json_list
 
@@ -69,23 +91,29 @@ class LocFun:
     """A level s and the values of the function on level-s cylinders.
 
     Storage: ``codes``, a dict from the cell code of each key (one int,
-    ``PairFamily.cell_codes``) to its value, over the common denominator
-    ``den``.  Invariant: every key is canonical at the element's level (a
-    fixed point of ``family.canon(., level)``) and every value is non-zero.
-    ``build`` establishes it from arbitrary pairs; code that constructs a
-    ``LocFun`` from codes (``_make``) must already hold it.
+    ``PairFamily.cell_codes``) over the common denominator ``den`` to the
+    value code (a, b, d) of its value (``coeffs``).  Invariant: every key
+    is canonical at the element's level (a fixed point of
+    ``family.canon(., level)``) and every value is non-zero.  ``build``
+    establishes it from arbitrary pairs; code that constructs a ``LocFun``
+    from codes (``_make``) must already hold it.
 
     ``values``, the key-to-value dict, is decoded in stored key order on
     each read and not kept: a decoded copy would double the memory of a
-    large function while its codes stay alive.  The constructor
-    ``LocFun(family, level, values)`` stores any dict exactly: keys that
-    are canonical Fractions (tuples of them) are coded, and a dict with
-    any other key is kept as given, with ``den`` None.  Such a function
-    only reads back: ``values`` returns the dict, ``==`` compares it, and
-    the algebra's operations refuse it.
+    large function while its codes stay alive.
+
+    The constructor ``LocFun(family, level, values)`` keeps the dict it is
+    given, as a plain ``SparseVector`` does: ``values`` and ``keys`` read
+    back its very keys and value objects, so it must not be changed in
+    place.  Beside it, keys that are canonical Fractions (tuples of them)
+    are coded, with exact values (int, Fraction, ``QC``) as value codes and
+    inexact ones (``complex``) as given; a dict with any other key is kept
+    as given, with ``den`` None.  A function with an inexact value or an
+    uncoded key only reads back and compares, and the algebra's
+    operations refuse it.
     """
 
-    __slots__ = ("family", "level", "den", "codes", "_refined")
+    __slots__ = ("family", "level", "den", "codes", "_refined", "_values")
 
     def __init__(self, family: PairFamily, level, values=None):
         values = {} if values is None else values
@@ -100,26 +128,40 @@ class LocFun:
                 if family.cell_keys(level, den, codes) != keys:
                     den = None
         self.family, self.level, self.den, self._refined = family, level, den, None
-        self.codes = dict(values) if den is None else dict(zip(codes, values.values()))
+        self._values = values
+        if den is None:
+            self.codes = dict(values)
+            return
+        try:
+            coded = list(map(qc_code, values.values()))
+        except TypeError:  # an inexact value: kept as given
+            coded = values.values()
+        self.codes = dict(zip(codes, coded))
 
     @classmethod
     def _make(cls, family: PairFamily, level, den, codes: dict) -> "LocFun":
         """The function with these cell codes over den; they must hold the
         invariant.  Codes dicts are shared, never changed in place."""
         f = object.__new__(cls)
-        f.family, f.level, f.den, f.codes, f._refined = family, level, den, codes, None
+        f.family, f.level, f.den, f.codes = family, level, den, codes
+        f._refined = f._values = None
         return f
 
     def keys(self) -> list:
         """The keys of the cells, decoded, in stored order."""
-        if self.den is None:
-            return list(self.codes)
+        if self._values is not None:
+            return list(self._values)
         return self.family.cell_keys(self.level, self.den, self.codes)
 
     @property
     def values(self) -> dict:
-        """The key-to-value dict, decoded afresh on each read."""
-        return dict(zip(self.keys(), self.codes.values()))
+        """The key-to-value dict, decoded afresh on each read: one ``QC``
+        per distinct value code, shared by the cells that hold it."""
+        if self._values is not None:
+            return dict(self._values)
+        codes = self.codes.values()
+        shared = {v: qc_decode(v) for v in set(codes)}
+        return dict(zip(self.keys(), map(shared.__getitem__, codes)))
 
     def __repr__(self):
         return f"{type(self).__name__}(level={self.level!r}, values={self.values!r})"
@@ -129,18 +171,19 @@ class LocFun:
         """Normalize (coset, coefficient) pairs: canonical keys, no zeros.
 
         One ``cell_codes`` batch codes canon(n, level) for every coset,
-        each coefficient is made a ``QC``, and ``coeffs.accumulate`` sums
-        them left to right with one hash per pair, drops keys whose sum is
-        zero and re-appends a key that comes back.  ``exact`` outlives the
-        removed float backend only because wrappers of ``build``
-        (bench/tracing.py) pass it positionally: True only."""
+        each coefficient is made a value code (``coeffs.qc_code``), and
+        ``coeffs.accumulate_codes`` sums them left to right with one hash
+        per pair, drops keys whose sum is zero and re-appends a key that
+        comes back.  ``exact`` outlives the removed float backend only
+        because wrappers of ``build`` (bench/tracing.py) pass it
+        positionally: True only."""
         if exact is not True:
             raise ValueError("LocFun coefficients are exact QC values; exact must be True")
         family.validate_s(level)
         pairs = list(pairs)
         den, codes = family.cell_codes([n for n, _ in pairs], level)
-        values = [QC.of(c) for _, c in pairs]
-        return LocFun._make(family, level, den, accumulate({}, zip(codes, values)))
+        values = [qc_code(c) for _, c in pairs]
+        return LocFun._make(family, level, den, accumulate_codes({}, zip(codes, values)))
 
     def _with(self, den, codes) -> "LocFun":
         """Same family, level and class; the codes must hold the invariant."""
@@ -185,23 +228,21 @@ class LocFun:
         a, b = self.refine(t), other.refine(t)
         den = math.lcm(a.den, b.den)
         # The copy reuses the stored hashes of the left operand's keys.
-        return a._with(den, accumulate(dict(a.codes_over(den)), b.codes_over(den).items()))
+        return a._with(den, accumulate_codes(dict(a.codes_over(den)), b.codes_over(den).items()))
 
     def __neg__(self):
-        return self._with(self.den, {k: -c for k, c in self.codes.items()})
+        return self._with(self.den, {k: (-a, -b, d) for k, (a, b, d) in self.codes.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "LocFun") -> "LocFun":
-        return convolve(self, other)
-
-    def scale(self, q: Fraction) -> "LocFun":
+    def scale(self, q) -> "LocFun":
         """The keys stay canonical and distinct, and q = 0 is the only
         scalar that makes a value zero."""
         if not q:
             return self._with(self.den, {})
-        return self._with(self.den, {k: c * q for k, c in self.codes.items()})
+        q = qc_code(q)
+        return self._with(self.den, {k: code_mul(c, q) for k, c in self.codes.items()})
 
     def star(self) -> "LocFun":
         """Involution: conjugate values on inverted cosets (unimodular, so
@@ -210,7 +251,7 @@ class LocFun:
         canonical box."""
         fam, den = self.family, self.den
         codes = fam.cell_neg(self.level, den, self.codes)
-        return self._with(den, dict(zip(codes, [c.conjugate() for c in self.codes.values()])))
+        return self._with(den, dict(zip(codes, [(a, -b, d) for a, b, d in self.codes.values()])))
 
     def is_zero(self) -> bool:
         return not self.codes
@@ -237,21 +278,21 @@ class LocFun:
         den, codes = fam.cell_codes([n], level)
         if self.den % den:
             return 0
-        return self.codes.get(fam.cell_rescale(level, den, codes, self.den)[0], 0)
+        value = self.codes.get(fam.cell_rescale(level, den, codes, self.den)[0])
+        return 0 if value is None else qc_decode(value)
 
-    def mass(self):
+    def mass(self) -> QC:
         """Total integral: each level-s coset weighs index(s)^-1."""
-        total = 0
-        w = Fraction(1, self.family.index(self.level))
-        for c in self.codes.values():
-            total = total + c * w
-        return total
+        den, nums = code_numerators(self.codes.values())
+        re, im = sum(a for a, _ in nums), sum(b for _, b in nums)
+        return qc_from_ints(re, im, den * self.family.index(self.level))
 
     def to_json(self):
         fam = self.family
         recs = [
-            {"coset": fam.n_to_json(k), "re": frac_to_str(c.re), "im": frac_to_str(c.im)}
-            for k, c in sorted(self.values.items())
+            {"coset": fam.n_to_json(k), "re": frac_to_str(Fraction(a, d)),
+             "im": frac_to_str(Fraction(b, d))}
+            for k, (a, b, d) in sorted(zip(self.keys(), self.codes.values()))
         ]
         return {"level": fam.s_to_json(self.level), "values": recs}
 
@@ -293,23 +334,23 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
     convolution check pin the output level, so returning level m would need
     both changed.
 
-    The sum is taken in integers.  Each factor's values are written over
-    one common denominator D_f, D_g (``coeffs.qc_numerators``), and one
+    The sum is taken in integers.  Each factor's value codes are written
+    over one common denominator D_f, D_g (``coeffs.code_numerators``), and one
     ``sum_codes`` batch codes the level-m coset of every pair of cells.
     Each pair adds its product's two integer numerators into a [re, im]
     cell for its code, found with one ``setdefault``.  A cell that returns
     to (0, 0) is deleted, so a code that comes back is appended at the end,
     as ``LocFun.build`` orders a merge; equal codes are equal keys, so that
     is the key order of a merge over keys.  Each surviving cell is
-    normalised once, over D_f * D_g * index(j), into one ``QC``: values and
-    key order equal those of ``build`` over the ``QC`` products, and no key
-    is built.
+    normalised once, over D_f * D_g * index(j), into one value code: values
+    and key order equal those of ``build`` over the products, and no key or
+    ``QC`` is built.
     """
     fam = f.family
     t = f.common_level(g)
     m = fam.s_meet(f.level, g.level)
-    df, f_nums = qc_numerators(f.codes.values())
-    dg, g_nums = qc_numerators(g.codes.values())
+    df, f_nums = code_numerators(f.codes.values())
+    dg, g_nums = code_numerators(g.codes.values())
     den, codes = fam.sum_codes((f.level, f.den, f.codes), (g.level, g.den, g.codes), m)
     codes = iter(codes)
     cells = {}
@@ -323,7 +364,7 @@ def convolve(f: LocFun, g: LocFun) -> LocFun:
             if not (cell[0] or cell[1]):
                 del cells[code]
     scale = df * dg * fam.index(t)
-    out = {code: qc_from_ints(re, im, scale) for code, (re, im) in cells.items()}
+    out = {code: code_from_ints(re, im, scale) for code, (re, im) in cells.items()}
     return LocFun._make(fam, m, den, out).refine(t)
 
 
@@ -344,18 +385,19 @@ def theta_star(s, f: LocFun) -> LocFun:
     batch over den * index(s).  The spreads of distinct level-a cosets c
     are disjoint, since each target cylinder has one preimage, and the
     index(s) targets of one c are distinct and canonical, so no merging or
-    zero test is needed: skip ``build``.  The result has f's class, so at
-    the identity level it is ``grpalg.alpha``.
+    zero test is needed: skip ``build``.  One value code per cell of f is
+    shared by its index(s) targets.  The result has f's class, so at the
+    identity level it is ``grpalg.alpha``.
     """
     fam = f.family
     fam.validate_s(s)
     if s == fam.s_identity:
         return f
     den, blocks = fam.cell_solve(s, f.level, f.den, f.codes)
-    w = Fraction(1, fam.index(s))
+    q = fam.index(s)
     out = {}
     for block, v in zip(blocks, f.codes.values()):
-        out.update(dict.fromkeys(block, v * w))
+        out.update(dict.fromkeys(block, code_scale(v, 1, q)))
     return f._with(den, out)
 
 
@@ -375,8 +417,9 @@ def theta_star_inv(s, f: LocFun) -> LocFun:
     deeper = fam.s_mul(f.level, s)
     fam.require_level(deeper)
     codes = fam.cell_psi_inv(s, f.level, f.den, f.codes, deeper)
-    idx = Fraction(fam.index(s))
-    return LocFun._make(fam, deeper, f.den, dict(zip(codes, [v * idx for v in f.codes.values()])))
+    idx = fam.index(s)
+    values = [code_scale(v, idx, 1) for v in f.codes.values()]
+    return LocFun._make(fam, deeper, f.den, dict(zip(codes, values)))
 
 
 def theta_star_g(g, f: LocFun) -> LocFun:

@@ -1065,13 +1065,12 @@ def check_pairing_level_independence(ctx: Ctx):
 def check_perfect_pairing(ctx: Ctx):
     fam = ctx.family
     bound = min(ctx.max_level, 64)
+    xs = [tower.embed_j(fam, Fraction(k)) for k in range(bound)]
     for n in range(2, bound + 1):
+        ys = [tower.embed_j(fam, Fraction(r, n)) for r in range(n)]
         rows = set()
-        for k in range(n):
-            row = tuple(
-                adeles.pairing(tower.embed_j(fam, Fraction(k)), tower.embed_j(fam, Fraction(r, n)))
-                for r in range(n)
-            )
+        for x in xs[:n]:
+            row = tuple(adeles.pairing(x, y) for y in ys)
             if row in rows:
                 return _exact(False, f"pairing degenerate at n={n}")
             rows.add(row)

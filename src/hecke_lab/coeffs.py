@@ -1,17 +1,28 @@
 """Exact rational complex coefficients.
 
 Algebraic identities that are rational on paper stay rational here: group
-algebra elements and locally constant functions carry `QC` coefficients,
-so equality tests are exact.  A `QC` is coded as three plain ints
-(a, b, d) standing for (a + b*i)/d, with d > 0 and gcd(a, b, d) == 1.
-That form is unique, so equality and hashing compare ints, and every
-operation is a few integer products normalised by one ``math.gcd``.  A
-long sum of products skips the per-term gcd: ``qc_numerators`` writes each
-factor's values over one common denominator, the caller adds integer
-numerators, and ``qc_from_ints`` normalises the total once.  ``accumulate``
-is the keyed merge that sums of ``QC`` values and of ``complex`` vectors
-share.  The Hilbert-space side (representations, dilation vectors) uses
-ordinary `complex`, because isometries introduce square roots of indices.
+algebra elements and locally constant functions carry exact Gaussian
+rational coefficients, so equality tests are exact.  The number
+(a + b*i)/d is written by three plain ints with d > 0 and
+gcd(a, b, d) == 1.  That form is unique, so equal numbers have equal
+fields, and every operation is a few integer products normalised by one
+``math.gcd``.  It has two spellings:
+
+* the value code, the tuple (a, b, d): ``LocFun`` stores one per cell, so
+  comparing two functions is one dict compare of int tuples, and its
+  kernels (``code_scale``, ``code_mul``, ``code_from_ints``,
+  ``code_numerators``, ``accumulate_codes``) work on tuples;
+* the `QC` object, the public number, which equals and hashes like the int
+  or Fraction of its value: what a function's ``values`` decodes to, and
+  what callers pass in (``qc_code`` codes an int, Fraction or `QC`).
+
+A long sum of products skips the per-term gcd: ``code_numerators`` writes
+each factor's values over one common denominator, the caller adds integer
+numerators, and ``code_from_ints`` normalises the total once.
+``accumulate`` is the keyed merge of sums of ``complex`` vectors, and
+``accumulate_codes`` the same merge for value codes.  The Hilbert-space
+side (representations, dilation vectors) uses ordinary `complex`, because
+isometries introduce square roots of indices.
 """
 
 from __future__ import annotations
@@ -140,17 +151,57 @@ def _qc(a: int, b: int, d: int) -> QC:
 
 def qc_from_ints(a: int, b: int, d: int) -> QC:
     """The QC (a + b*i)/d from any ints with d > 0, divided by gcd(a, b, d)."""
+    return _qc(*code_from_ints(a, b, d))
+
+
+def qc_code(x) -> tuple:
+    """The value code (a, b, d) of an int, a Fraction or a `QC`."""
+    if type(x) is QC:
+        return (x.a, x.b, x.d)
+    p, q = _ratio(x)
+    if p is None:
+        raise TypeError(f"cannot build exact coefficient from {type(x).__name__}")
+    return (p, 0, q)
+
+
+def qc_decode(code) -> QC:
+    """The `QC` of a value code."""
+    return _qc(*code)
+
+
+def code_from_ints(a: int, b: int, d: int) -> tuple:
+    """The value code of (a + b*i)/d from any ints with d > 0."""
     g = gcd(a, b, d)
-    return _qc(a // g, b // g, d // g)
+    return (a // g, b // g, d // g)
 
 
-def qc_numerators(values):
-    """(D, [(a, b), ...]): each QC of ``values``, in order, as (a + b*i)/D
-    over D, the least common denominator of them all (1 when there are
-    none).  Products of two such lists then need no gcd until the end."""
-    values = list(values)
-    den = lcm(*(z.d for z in values))
-    return den, [(z.a * (den // z.d), z.b * (den // z.d)) for z in values]
+def code_scale(code, p: int, q: int) -> tuple:
+    """The value code of code * p/q, for ints p and q > 0."""
+    a, b, d = code
+    return code_from_ints(a * p, b * p, d * q)
+
+
+def code_mul(x, y) -> tuple:
+    """The value code of the product of two value codes."""
+    a, b, d = x
+    c, e, f = y
+    return code_from_ints(a * c - b * e, a * e + b * c, d * f)
+
+
+def code_complex(code) -> complex:
+    """The nearest ``complex`` to a value code, equal to ``complex()`` of
+    its `QC` bit for bit."""
+    a, b, d = code
+    return complex(a / d, b / d)
+
+
+def code_numerators(codes):
+    """(D, [(a, b), ...]): each value code, in order, as (a + b*i)/D over
+    D, the least common denominator of them all (1 when there are none).
+    Products of two such lists then need no gcd until the end."""
+    codes = list(codes)
+    den = lcm(*(d for _, _, d in codes))
+    return den, [(a * (den // d), b * (den // d)) for a, b, d in codes]
 
 
 def accumulate(out: dict, pairs) -> dict:
@@ -158,8 +209,9 @@ def accumulate(out: dict, pairs) -> dict:
 
     A key whose sum is zero is dropped; a dropped key that comes back
     starts again from its value, at the end of the key order.  Values are
-    stored as given, with no conversion, so this serves exact ``QC`` sums
-    and ``complex`` vectors alike: the caller converts at its boundary.
+    stored as given, with no conversion, so the caller converts at its
+    boundary: the ``complex`` vectors of ``repspace`` sum here, and value
+    codes sum by the same rule in ``accumulate_codes``.
 
     One ``setdefault`` per pair looks the key up and inserts a new one, so
     a new key is hashed once.  Whether the key was new is read off the
@@ -177,6 +229,29 @@ def accumulate(out: dict, pairs) -> dict:
             else:
                 del out[k]
         elif not c:
+            del out[k]
+    return out
+
+
+def accumulate_codes(out: dict, pairs) -> dict:
+    """``accumulate`` for value codes: the same merge and key order, with
+    two codes under one key summed in ints and normalised by one gcd, and
+    the zero code (0, 0, 1) dropped."""
+    setdefault = out.setdefault
+    for k, c in pairs:
+        size = len(out)
+        prev = setdefault(k, c)
+        if len(out) == size:
+            a, b, d = prev
+            x, y, e = c
+            if d != e:
+                a, b, x, y, d = a * e, b * e, x * d, y * d, d * e
+            a, b = a + x, b + y
+            if a or b:
+                out[k] = code_from_ints(a, b, d)
+            else:
+                del out[k]
+        elif not (c[0] or c[1]):
             del out[k]
     return out
 

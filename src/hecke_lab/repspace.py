@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
 
-from .coeffs import accumulate
+from .coeffs import accumulate, code_complex
 from .errors import ConfigError
 from .pairs import PairFamily
 
@@ -208,15 +208,6 @@ class SparseVector:
                     total += y.real * y.real + y.imag * y.imag
         return math.sqrt(total)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self._data.values())
-
-    def to_json(self, family: PairFamily):
-        return [
-            {"coset": family.n_to_json(k), "re": complex(v).real, "im": complex(v).imag}
-            for k, v in sorted(self.values.items())
-        ]
-
 
 def _inner(a: dict, b: dict) -> complex:
     total = 0j
@@ -363,7 +354,7 @@ def apply_algebra(rep: CovariantRep, a, v: SparseVector) -> SparseVector:
     """pi(a) v = sum of c_n Y_n v for a group-algebra element a = sum c_n delta_n."""
     terms = []
     for n, c in zip(a.keys(), a.codes.values()):
-        c = complex(c)
+        c = code_complex(c)
         if c:
             terms.append((c, rep.apply_Y(n, v)))
     return SparseVector.combine(terms)

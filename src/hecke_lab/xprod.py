@@ -92,11 +92,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import autodil, grpalg
 from .autodil import LocFun
-from .coeffs import accumulate
+from .coeffs import accumulate_codes, code_complex, code_scale, qc_decode
 from .dilate import CompressedRep, Dilation, DilationVector
 from .errors import NotInCornerError, PrecisionError
 from .pairs import PairFamily, json_field, json_list
@@ -144,11 +143,6 @@ class CrossedElement:
             for g2, f2 in other.terms.items():
                 pairs.append((autodil.convolve(f, autodil.theta_star_g(g, f2)), fam.g_mul(g, g2)))
         return CrossedElement.build(fam, pairs)
-
-    def scale(self, q) -> "CrossedElement":
-        return CrossedElement.build(
-            self.family, [(f.scale(q), g) for g, f in self.terms.items()]
-        )
 
     def star(self) -> "CrossedElement":
         fam = self.family
@@ -225,7 +219,7 @@ def compose_corner(family: PairFamily, s, a: grpalg.GroupAlgebraElement, t) -> C
     translated by psi_s^-1(n), all in one ``sum_codes`` batch of the
     ``cell_psi_inv`` images of a's codes and the ``cell_solve`` codes of
     those solutions.  Terms of a on one coset of psi_t'(M) merge by code
-    through ``coeffs.accumulate``, no key is built, and an element that
+    through ``coeffs.accumulate_codes``, no key is built, and an element that
     cancels is empty.  It raises LevelCapError when s exceeds the cap, as
     the product definition does through ``theta_star_inv``."""
     family.validate_s(s)
@@ -240,12 +234,12 @@ def _corner_term(fam: PairFamily, s, a: grpalg.GroupAlgebraElement, tp) -> LocFu
     fam.require_level(s)
     e = fam.s_identity
     cden, (cosets,) = fam.cell_solve(tp, e, 1, [0])
-    w = Fraction(1, fam.index(tp))
-    weighted = [c * w for c in a.codes.values()]
+    q = fam.index(tp)
+    weighted = [code_scale(c, 1, q) for c in a.codes.values()]
     images = fam.cell_psi_inv(s, e, a.den, a.codes, e)
     den, codes = fam.sum_codes((e, a.den, images), (e, cden, cosets), e)
     count = len(cosets)
-    sums = accumulate({}, zip(codes, (v for v in weighted for _ in range(count))))
+    sums = accumulate_codes({}, zip(codes, (v for v in weighted for _ in range(count))))
     return LocFun._make(fam, e, den, sums)
 
 
@@ -282,7 +276,9 @@ def corner_decompose(d: CrossedElement):
     covered, n = canon(psi_s(c)) has psi_s^-1(n) in c + psi_s^-1(M), inside
     c + psi_t(M), so c's probe is ``base`` translated by c;
     a_n = index(t) f(c), and f must equal f(c) on every cell of that probe,
-    which is then removed from f.  Nothing is multiplied out.
+    which is then removed from f.  Nothing is multiplied out: values are
+    compared as value codes, and only the read-off a_n are decoded, to
+    build a.
 
     The exact rebuild is the membership certificate: compose_corner is
     linear in a, so when the probes cover f exactly the read-off a gives
@@ -312,7 +308,7 @@ def corner_decompose(d: CrossedElement):
                         f"at coset {fam.cell_keys(level, den, [code])[0]!r}"
                     )
             cell = fam.cell_keys(level, den, [c])[0]
-            coeffs.append((fam.canon(fam.psi_s(s, cell)), value * scale))
+            coeffs.append((fam.canon(fam.psi_s(s, cell)), qc_decode(value) * scale))
         triples.append((s, grpalg.GroupAlgebraElement.build(fam, coeffs), t))
     return triples
 
@@ -361,7 +357,7 @@ class InducedRep:
                 fam.require_level(target_s)
                 codes = fam.cell_psi_inv(tp, level, inner.den, inner.codes)
                 moved = SparseVector.combine(
-                    (complex(val) * weight, self.rep.apply_Y(n, h))
+                    (code_complex(val) * weight, self.rep.apply_Y(n, h))
                     for n, val in zip(fam.cell_keys(None, inner.den, codes), inner.codes.values())
                 )
                 lifted = self.rep.apply_V(fam.s_mul(level, tp), moved)

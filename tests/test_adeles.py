@@ -343,3 +343,30 @@ def test_denominator_threshold(mat):
     assert mat.denominator_level((Fraction(1, 10), Fraction(0))) == (1, 1)
     assert mat.denominator_level((Fraction(0), Fraction(1, 9))) == (2, 0)
     assert mat.denominator_level((Fraction(1), Fraction(2))) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "p, l, r, field",
+    [(4, 1, 0, "'p'"), (1, 1, 0, "'p'"), (2, -1, 3, "'l'"), (2, 1.5, 1, "'l'"), (2, True, 1, "'l'"),
+     (2, 1, 1.0, "'r'"), (2, 1, True, "'r'"), (2.0, 1, 1, "'p'"), (2, "1", 1, "'l'")],
+)
+def test_component_refuses_malformed_input(p, l, r, field):
+    """A non-prime p, a negative l and a non-int or bool p, l or r are a
+    ConfigError naming the field, by direct construction and through
+    AdeleTruncation.build; none is coerced (l = -1 used to store r = 0.0)."""
+    with pytest.raises(ConfigError, match=field):
+        PadicComponent(p, l, r)
+    with pytest.raises(ConfigError, match=field):
+        AdeleTruncation.build(1, [PadicComponent(3, 1, 1), PadicComponent(p, l, r)])
+
+
+def test_build_refuses_malformed_denominator_and_components():
+    for m in (0, -2, 1.0, True, "2"):
+        with pytest.raises(ConfigError):
+            AdeleTruncation.build(m, [PadicComponent(2, 1, 1)])
+    for comps in ([(2, 1, 1)], [None], [{"p": 2, "l": 1, "r": 1}]):
+        with pytest.raises(ConfigError):
+            AdeleTruncation.build(1, comps)
+    c = PadicComponent(2, 0, 5)
+    assert (c.l, c.r, type(c.r)) == (0, 0, int)
+    assert AdeleTruncation.build(2, [PadicComponent(3, 1, 4), c]).components == (c, PadicComponent(3, 1, 1))

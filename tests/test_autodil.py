@@ -6,13 +6,14 @@ is a function on the group, and refinement/convolution must agree with
 direct evaluation on sampled group elements.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke_lab.coeffs import QC, accumulate
+from hecke_lab.coeffs import QC, accumulate, code_complex, qc_code
 from hecke_lab.errors import ConfigError, PrecisionError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily, PadicFamily
 from hecke_lab import autodil, grpalg
@@ -709,3 +710,149 @@ def test_alpha_intertwining_builds_no_fraction_per_cell():
     with _fractions_built() as built:
         assert autodil.embed_i(grpalg.alpha(9, a)) == theta_star(9, autodil.embed_i(a))
     assert fam.index(9) == 19_683 and built[0] <= 10
+
+
+# --- value codes ------------------------------------------------------------------
+
+
+def _codes_canonical(f):
+    """Every stored value is a value code: a tuple (a, b, d) of ints with
+    d > 0, gcd 1 and a or b non-zero, read back as the QC of those fields,
+    and converted to complex as that QC is."""
+    values = f.values
+    for v, q in zip(f.codes.values(), values.values()):
+        assert type(v) is tuple and len(v) == 3 and all(type(x) is int for x in v)
+        a, b, d = v
+        assert d > 0 and math.gcd(a, b, d) == 1 and (a or b)
+        assert type(q) is QC and (q.a, q.b, q.d) == v and code_complex(v) == complex(q)
+
+
+@given(locfun_cases(), _COEFFS)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_value_codes_decode_to_the_qc_route(case, q):
+    """Each operation stores canonical value codes that decode to the
+    values of the QC route (QC arithmetic on Fraction keys), in key order:
+    build, -, scale, +, -, star, theta_star, theta_star_inv and convolve;
+    and eval_at, mass and to_json decode them."""
+    fam, a, b, s, fpairs, gpairs = case
+    f, g = LocFun.build(fam, a, fpairs), LocFun.build(fam, b, gpairs)
+    fv, gv = ref_build(fam, a, fpairs), ref_build(fam, b, gpairs)
+    t = fam.s_mul(a, s)
+    idx = Fraction(fam.index(s))
+    j, conv = ref_convolve(fam, a, fv, b, gv)
+    fj, gj = ref_refine(fam, a, fv, j), ref_refine(fam, b, gv, j)
+    cases = [
+        (f, a, fv),
+        (g, b, gv),
+        (-f, a, {k: -v for k, v in fv.items()}),
+        (f.scale(q), a, {k: v * q for k, v in fv.items()} if q else {}),
+        (f.scale(-3), a, {k: v * -3 for k, v in fv.items()}),
+        (f + g, j, accumulate(dict(fj), gj.items())),
+        (f - g, j, accumulate(dict(fj), [(k, -v) for k, v in gj.items()])),
+        (f.star(), a, {_canon(fam, fam.n_neg(k), a): v.conjugate() for k, v in fv.items()}),
+        (theta_star(s, f), a, ref_theta_star(fam, s, a, fv)),
+        (theta_star_inv(s, f), t, {_canon(fam, fam.psi_s_inv(s, c), t): v * idx for c, v in fv.items()}),
+        (convolve(f, g), j, conv),
+    ]
+    for h, level, want in cases:
+        _same(h, level, want)
+        _codes_canonical(h)
+    for k, v in fv.items():
+        got = f.eval_at(k)
+        assert type(got) is QC and got == v
+    mass = f.mass()
+    assert type(mass) is QC and mass == sum(fv.values(), QC.of(0)) * Fraction(1, fam.index(a))
+    assert LocFun.from_json(fam, f.to_json()) == f
+
+
+_ORACLE_IDS = [f"{fam.tag}-{i}" for i, (fam, _, _) in enumerate(ORACLE_FAMILIES)]
+
+
+def _sample_function(fam, ss, levels):
+    """A function at levels[1] with three cells and unrelated denominators."""
+    rng = random.Random(repr(fam.tag) + repr(levels))
+    level = levels[1]
+    n, m = (fam.psi_s(levels[-1], fam.random_M(rng)) for _ in range(2))
+    pairs = [(n, QC(Fraction(1, 3), Fraction(2))), (m, Fraction(-5, 6)), (fam.n_identity, 4)]
+    return level, pairs, LocFun.build(fam, level, pairs)
+
+
+@pytest.mark.parametrize("fam, ss, levels", ORACLE_FAMILIES, ids=_ORACLE_IDS)
+def test_value_codes_compare_equal_across_routes(fam, ss, levels):
+    """One function reached by different routes, and over different
+    denominators, levels and coefficient types, compares equal both ways."""
+    level, pairs, f = _sample_function(fam, ss, levels)
+    s = ss[-1]
+    typed = [(n, QC.of(c) if type(c) is not QC else QC(c.re, c.im)) for n, c in reversed(pairs)]
+    routes = [
+        LocFun.build(fam, level, typed),
+        LocFun(fam, level, f.values),
+        theta_star(s, theta_star_inv(s, f)),
+        (f + f).scale(Fraction(1, 2)),
+        f.scale(3) - f - f,
+        -(-f),
+        f.star().star(),
+        f.refine(fam.s_mul(level, s)),
+        LocFun.from_json(fam, f.to_json()),
+    ]
+    for h in routes:
+        assert h == f and f == h
+    as_given = LocFun(fam, level, {k: v.re if not v.im else v for k, v in f.values.items()})
+    assert LocFun.from_json(fam, as_given.to_json()) == f
+    assert (f - f).is_zero() and f - f == autodil.zero(fam)
+
+
+@pytest.mark.parametrize("fam, ss, levels", ORACLE_FAMILIES, ids=_ORACLE_IDS)
+def test_value_codes_one_cell_change_compares_unequal(fam, ss, levels):
+    """Changing one cell's real part, imaginary part or denominator alone
+    makes the function unequal, at its level and refined."""
+    level, _, f = _sample_function(fam, ss, levels)
+    deeper = f.refine(fam.s_mul(level, ss[-1]))
+    values = f.values
+    for key, value in values.items():
+        a, b, d = qc_code(value)
+        e = next(e for e in range(d + 1, d + 100) if math.gcd(a, b, e) == 1)
+        assert (a, b, e) in LocFun(fam, level, {key: QC(Fraction(a, e), Fraction(b, e))}).codes.values()
+        for x, y, z in ((a + 1, b, d), (a, b + 1, d), (a, b, e)):
+            changed = LocFun(fam, level, {**values, key: QC(Fraction(x, z), Fraction(y, z))})
+            assert changed != f and f != changed and changed != deeper and deeper != changed
+
+
+def test_decoding_shares_one_qc_per_distinct_value():
+    """values on padic(3) at level 9 decodes one QC per distinct value
+    code, shared by the 19,683 cells of each theta_star spread."""
+    fam = PadicFamily(3)
+    a = grpalg.GroupAlgebraElement.build(
+        fam, [(Fraction(1, 3), QC(Fraction(1), Fraction(1, 2))), (Fraction(5, 9), -1)]
+    )
+    f = theta_star(9, embed_i(a))
+    values = f.values
+    distinct = set(f.codes.values())
+    assert len(values) == 2 * 19_683 and len(distinct) == 2
+    assert len({id(v) for v in values.values()}) <= len(distinct)
+
+
+@pytest.mark.parametrize("fam, ss, levels", ORACLE_FAMILIES, ids=_ORACLE_IDS)
+def test_inexact_values_read_back_and_the_algebra_refuses_them(fam, ss, levels):
+    """A dict of complex values on canonical keys is stored as given: it
+    reads back and compares, and every operation on its values raises."""
+    level, _, f = _sample_function(fam, ss, levels)
+    given = {k: complex(v) for k, v in f.values.items()}
+    g = LocFun(fam, level, given)
+    assert g.values == given and g == LocFun(fam, level, dict(given)) and g != f and f != g
+    s = ss[-1]
+    for op in (
+        lambda: theta_star(s, g),
+        lambda: theta_star_inv(s, g),
+        lambda: convolve(g, f),
+        lambda: convolve(f, g),
+        lambda: g.star(),
+        lambda: -g,
+        lambda: g.scale(2),
+        lambda: g + f,
+        lambda: f + g,
+        lambda: g.mass(),
+    ):
+        with pytest.raises(TypeError):
+            op()
+

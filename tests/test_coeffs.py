@@ -12,7 +12,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecke_lab.autodil import LocFun
-from hecke_lab.coeffs import QC, QC_ONE, QC_ZERO
+from hecke_lab.coeffs import (
+    QC,
+    QC_ONE,
+    QC_ZERO,
+    accumulate,
+    accumulate_codes,
+    code_complex,
+    code_from_ints,
+    code_mul,
+    code_numerators,
+    code_scale,
+    qc_code,
+    qc_decode,
+)
 from hecke_lab.pairs import BostConnesFamily, frac_to_str
 
 
@@ -166,6 +179,54 @@ def test_json_round_trip_through_locfun(entries):
     assert back == f
     assert [(k, (c.a, c.b, c.d)) for k, c in back.values.items()] == \
         [(k, (c.a, c.b, c.d)) for k, c in sorted(f.values.items())]
+
+
+# --- value codes -----------------------------------------------------------------
+
+
+def _fields(q):
+    return (q.a, q.b, q.d)
+
+
+@given(pairs(), pairs(), st.integers(-30, 30), st.integers(1, 30))
+@settings(max_examples=200, derandomize=True)
+def test_value_code_kernels_match_qc_arithmetic(xp, yp, p, q):
+    """A value code is the fields of its QC, and each kernel gives the
+    fields of the QC operation it replaces."""
+    (_, qx), (_, qy) = xp, yp
+    x, y = qc_code(qx), qc_code(qy)
+    assert x == _fields(qx) and qc_decode(x) == qx and type(qc_decode(x)) is QC
+    assert code_mul(x, y) == _fields(qx * qy)
+    assert code_scale(x, p, q) == _fields(qx * Fraction(p, q))
+    assert code_from_ints(*x) == x
+    got, want = code_complex(x), complex(qx)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    den, nums = code_numerators([x, y])
+    assert [QC(Fraction(a, den), Fraction(b, den)) for a, b in nums] == [qx, qy]
+    assert den == math.lcm(qx.d, qy.d) and code_numerators([]) == (1, [])
+
+
+def test_qc_code_takes_ints_fractions_and_qc_only():
+    assert qc_code(3) == (3, 0, 1) and qc_code(Fraction(-4, 6)) == (-2, 0, 3)
+    assert qc_code(QC(Fraction(1, 2), Fraction(1, 3))) == (3, 2, 6)
+    for bad in (0.5, "1", complex(1, 0), None, (1, 0, 1)):
+        with pytest.raises(TypeError):
+            qc_code(bad)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), pairs()), max_size=12), st.data())
+@settings(max_examples=100, derandomize=True)
+def test_accumulate_codes_keeps_the_merge_of_accumulate(entries, data):
+    """Sums, dropped zeros and the key order of a key that comes back are
+    those of ``accumulate`` over QC values; cancelling pairs are drawn in."""
+    pairs_ = [(k, q) for k, (_, q) in entries]
+    for k, q in list(pairs_):
+        if data.draw(st.booleans()):
+            pairs_.append((k, -q))
+    want = accumulate({}, pairs_)
+    got = accumulate_codes({}, [(k, qc_code(q)) for k, q in pairs_])
+    assert list(got) == list(want)
+    assert list(got.values()) == [_fields(q) for q in want.values()]
 
 
 # --- the hash/eq contract ----------------------------------------------------------
