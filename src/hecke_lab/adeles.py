@@ -8,7 +8,10 @@ the full completion (the finite adeles), one denominator at a time.
 
 Pairings are stored as exact rationals modulo 1: the character value is
 exp(2 pi i * value), but no complex number is ever formed, so equalities
-like level-independence are literal.
+like level-independence are literal.  ``pairing_rows`` computes a whole
+table from one projection per element, all at one level, with integer
+products; level independence makes each entry the pairwise value, and
+``pairing`` is its 1x1 case.
 """
 
 from __future__ import annotations
@@ -185,41 +188,51 @@ def adele_equal(a: AdeleTruncation, b: AdeleTruncation, family: BostConnesFamily
     return xa.project(common) == xb.project(common)
 
 
-def denominator_at_identity_level(x) -> int:
-    """The denominator of the level-one projection, as a positive integer."""
-    rep = x.project(1)
-    return rep.denominator
-
-
 def pairing(x, y, at_level: int | None = None) -> Fraction:
     """The duality pairing: the exact rational t in [0,1) whose character
     value is exp(2 pi i t).
 
     Defined whenever a level divisible by both denominators is available;
-    independent of the admissible level chosen.
+    independent of the admissible level chosen.  This is the 1x1 table of
+    ``pairing_rows``, which projects each argument once.
     """
-    fam, x = _as_tower_element(x)
-    fam_y, y = _as_tower_element(y)
-    dx = denominator_at_identity_level(x)
-    dy = denominator_at_identity_level(y)
-    needed = (dx * dy) // math.gcd(dx, dy)
+    return pairing_rows([x], [y], at_level)[0][0]
+
+
+def pairing_rows(xs, ys, at_level: int | None = None) -> list:
+    """The table of pairings: one tuple per x, holding pairing(x, y) for
+    every y, in order.
+
+    Every element is projected once, all at one level n: the lcm of the
+    identity-level denominators of all the elements, or at_level, which
+    that lcm must divide.  Reduction modulo an integer keeps a rational's
+    denominator, so the identity-level denominator is read from the
+    stored representative.  With a/b and c/d the level-n representatives
+    in lowest terms, the entry is (a*c mod b*d) / (b*d).  The pairing does
+    not depend on the admissible level, so each entry equals the pairwise
+    value, computed at the lcm of its own two denominators.  An element
+    not known at level n raises LevelCapError.
+    """
+    xs = [_as_tower_element(x) for x in xs]
+    ys = [_as_tower_element(y) for y in ys]
+    stored = (x.coset if isinstance(x, TruncatedElement) else x.value for x in xs + ys)
+    needed = math.lcm(*(v.denominator for v in stored))
     n = needed if at_level is None else at_level
     if n % needed != 0:
-        raise ConfigError(f"level {n} is not divisible by both denominators {dx}, {dy}")
+        raise ConfigError(f"level {n} is not divisible by the denominators' lcm {needed}")
     try:
-        vx = x.project(n)
-        vy = y.project(n)
+        vxs = [(v.numerator, v.denominator) for v in (x.project(n) for x in xs)]
+        vys = [(v.numerator, v.denominator) for v in (y.project(n) for y in ys)]
     except PrecisionError as exc:
         raise LevelCapError(f"no admissible level for the pairing: {exc}") from exc
-    return (vx * vy) % 1
+    return [tuple(Fraction(a * c % (b * d), b * d) for c, d in vys) for a, b in vxs]
 
 
 def _as_tower_element(x):
     if isinstance(x, (TruncatedElement, ExactElement)):
-        return x.family, x
+        return x
     if isinstance(x, AdeleTruncation):
-        fam = BostConnesFamily()
-        return fam, x.to_tower(fam)
+        return x.to_tower(BostConnesFamily())
     raise ConfigError(f"cannot interpret {x!r} as a completion element")
 
 

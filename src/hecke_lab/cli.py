@@ -1068,12 +1068,9 @@ def check_perfect_pairing(ctx: Ctx):
     xs = [tower.embed_j(fam, Fraction(k)) for k in range(bound)]
     for n in range(2, bound + 1):
         ys = [tower.embed_j(fam, Fraction(r, n)) for r in range(n)]
-        rows = set()
-        for x in xs[:n]:
-            row = tuple(adeles.pairing(x, y) for y in ys)
-            if row in rows:
-                return _exact(False, f"pairing degenerate at n={n}")
-            rows.add(row)
+        rows = adeles.pairing_rows(xs[:n], ys)
+        if len(set(rows)) != len(rows):
+            return _exact(False, f"pairing degenerate at n={n}")
     return _exact(True, f"n <= {bound}")
 
 

@@ -58,8 +58,11 @@ coordinate, reduced together by ``lattice.hnf_reduce_columns``.
   cache are ``lattice.box_image`` of an integer matrix over a level's HNF
   box, built a coordinate at a time in column layout.
 
-``psi_reps`` with ``n_add`` and ``canon``, and ``psi_s_inv`` with
-``canon``, are the Fraction routes that the tests compare these against.
+``psi_reps`` with ``n_add`` and ``canon``, ``psi_s_inv`` with ``canon``,
+and ``psi_s`` with ``canon`` are the Fraction routes that the tests compare
+these against; the last is the reference for ``MatrixFamily.random_coset``,
+which draws canon(psi_s(v)) as adj(A_s) v mod index(s) over index(s), and
+for ``tower.theta_image_of_k_reps``, which refines cell codes.
 """
 
 from __future__ import annotations
@@ -834,6 +837,7 @@ class MatrixFamily(PairFamily):
             self.level_cap = tuple(level_cap)
         self._pow_cache = {}
         self._hnf_cache = {}
+        self._adj_cache = {}
         self._solve_cache = {}
         self._split_cache = {}
         self._scaled_hnf_cache = {}
@@ -967,8 +971,18 @@ class MatrixFamily(PairFamily):
         cols.append(list(rest))
         return cols if scale == 1 else [[c * scale for c in col] for col in cols]
 
+    def _adj(self, s):
+        """adj(A_s) = index(s)*A_s^-1, an integer matrix, cached per s."""
+        adj = self._adj_cache.get(s)
+        if adj is None:
+            D = self.index(s)
+            adj = self._adj_cache[s] = [
+                [int(x * D) for x in row] for row in self._matrix_power((-s[0], -s[1]))
+            ]
+        return adj
+
     def _solve_shifts(self, s, level):
-        """adj(A_s) = index(s)*A_s^-1 and the integer vectors adj(A_s) A_a m
+        """adj(A_s), from ``_adj``, and the integer vectors adj(A_s) A_a m
         for m in the level-s transversal, in column layout and transversal
         order, cached per (s, a).  The vectors are ``box_image`` of the
         integer matrix adj(A_s) A_a over the box of A_s's HNF: one pass
@@ -976,8 +990,7 @@ class MatrixFamily(PairFamily):
         key = (s, level)
         cached = self._solve_cache.get(key)
         if cached is None:
-            D = self.index(s)
-            adj = [[int(x * D) for x in row] for row in self._matrix_power((-s[0], -s[1]))]
+            adj = self._adj(s)
             lift = adj if level is None else mat_mul(adj, self._matrix_power(level))
             cached = self._solve_cache[key] = (adj, box_image(lift, self._hnf(s)))
         return cached
@@ -1170,9 +1183,12 @@ class MatrixFamily(PairFamily):
         raise ConfigError(f"no separating level below 64 for {n!r}")
 
     def random_coset(self, rng, depth: int):
+        """canon(psi_s(v)) for a random level s and integer vector v, as
+        (adj(A_s) v mod index(s)) / index(s) per coordinate."""
         s = (rng.randint(0, 2), rng.randint(0, 2))
-        v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(self.dim))
-        return self.canon(self.psi_s(s, v))
+        v = [rng.randint(-4, 4) for _ in range(self.dim)]
+        D = self.index(s)
+        return tuple(Fraction(sum(map(mul, row, v)) % D, D) for row in self._adj(s))
 
     def sample_levels(self):
         return [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -129,9 +129,12 @@ def theta_image_of_k_reps(family: PairFamily, s, t):
     """Representatives of the level-t truncation of theta_s(K).
 
     These are the classes psi_s(m) mod psi_t^-1(M) with m running over
-    M / psi_(t*s)^-1(M); there are index(s) * index(t) of them.
+    M / psi_(t*s)^-1(M); there are index(s) * index(t) of them.  As M lies
+    in psi_s(M), the image psi_s(M) / psi_t^-1(M) is the level-t
+    refinement of psi_s(M) / M, the level-e solutions at 0: computed as
+    ``cell_solve(s, e, 1, [0])``, ``cell_refine`` from e to t and
+    ``cell_keys``, with no Fraction built before the keys.
     """
-    reps = set()
-    for m in family.iter_coset_reps(family.s_mul(t, s)):
-        reps.add(family.canon(family.psi_s(s, m), t))
-    return reps
+    e = family.s_identity
+    den, (cells,) = family.cell_solve(s, e, 1, [0])
+    return set(family.cell_keys(t, den, family.cell_refine(e, den, cells, t)))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke_lab.errors import ConfigError, PrecisionError
+from hecke_lab.errors import ConfigError, LevelCapError, PrecisionError
 from hecke_lab.pairs import BostConnesFamily, MatrixFamily
 from hecke_lab import adeles
 from hecke_lab.adeles import (
@@ -240,6 +240,9 @@ def test_pairing_bi_additive(bc):
 
 
 def test_perfect_pairing_small_levels(bc):
+    """The statement of the CLI check ``adeles.perfect-pairing``, on the
+    pairwise route: the check builds its rows with ``pairing_rows``, so
+    this test is its independent check."""
     for n in range(2, 33):
         rows = set()
         for k in range(n):
@@ -249,6 +252,68 @@ def test_perfect_pairing_small_levels(bc):
             )
             assert row not in rows
             rows.add(row)
+
+
+def _pairing_operands(bc):
+    """Exact, truncated and adele elements whose denominators divide 12,
+    all known at every level that divides 60."""
+    rng = random.Random(17)
+    dens = [1, 2, 3, 4, 6, 12]
+    exact = [embed_j(bc, Fraction(rng.randint(-30, 30), rng.choice(dens))) for _ in range(6)]
+    truncated = [
+        TruncatedElement.make(bc, 720, Fraction(rng.randint(-30, 30), rng.choice(dens)))
+        for _ in range(4)
+    ]
+    # m*x has components modulo 2^4, 3^2, 5 and 7: precision 5040, tower
+    # level 5040/m, which 60 divides.
+    adele_elements = [
+        AdeleTruncation.build(m, [PadicComponent(2, 4, r), PadicComponent(3, 2, r + 1),
+                                  PadicComponent(5, 1, r), PadicComponent(7, 1, 2 * r)])
+        for m, r in ((1, 5), (4, 3), (6, 11), (12, 2))
+    ]
+    return exact + truncated + adele_elements
+
+
+@pytest.mark.parametrize("at_level", [None, 12, 60])
+def test_pairing_rows_match_pairwise(bc, at_level):
+    """One projection per element at one level gives the pairwise values:
+    every entry equals ``pairing`` of its pair, which projects at the lcm
+    of the pair's own two denominators (or at at_level), and ``pairing`` is
+    the 1x1 table."""
+    ops = _pairing_operands(bc)
+    xs, ys = ops[: len(ops) // 2 + 1], ops[len(ops) // 2 - 1 :]
+    rows = adeles.pairing_rows(xs, ys, at_level=at_level)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        assert type(row) is tuple and len(row) == len(ys)
+        for y, got in zip(ys, row):
+            assert type(got) is Fraction and 0 <= got < 1
+            assert got == pairing(x, y)
+            assert got == pairing(x, y, at_level=at_level)
+            assert adeles.pairing_rows([x], [y], at_level=at_level) == [(got,)]
+
+
+def test_pairing_rows_refuse_bad_levels(bc):
+    x = embed_j(bc, Fraction(1, 4))
+    ys = [embed_j(bc, Fraction(1, 3)), embed_j(bc, Fraction(5, 6))]
+    # The table level must be a multiple of lcm(4, 3, 6) = 12.
+    with pytest.raises(ConfigError):
+        adeles.pairing_rows([x], ys, at_level=18)
+    with pytest.raises(ConfigError):
+        pairing(x, ys[0], at_level=8)
+    assert adeles.pairing_rows([x], ys, at_level=24) == [(Fraction(1, 12), Fraction(5, 24))]
+    # A truncation known only at level 2 cannot be projected to the table
+    # level, 6 or 12 here.
+    shallow = TruncatedElement.make(bc, 2, Fraction(1, 2))
+    with pytest.raises(LevelCapError):
+        adeles.pairing_rows([shallow], ys)
+    with pytest.raises(LevelCapError):
+        adeles.pairing_rows([x], [shallow, ys[0]])
+    with pytest.raises(LevelCapError):
+        pairing(shallow, TruncatedElement.make(bc, 2, Fraction(1, 3)))
+    # Empty tables need no level.
+    assert adeles.pairing_rows([], ys) == []
+    assert adeles.pairing_rows([x], []) == [()]
 
 
 def test_integral_pairing_vanishes(bc):

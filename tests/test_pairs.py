@@ -7,6 +7,7 @@ the top of this module; the oracles never call the code paths they check.
 import contextlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -918,3 +919,19 @@ def test_transversal_caches_fill_by_columns(F, M):
         assert batch == [m for c in codes for m in fam.code_solve(s, [c])]
         assert all(type(x) is int for code in batch for x in code)
         assert fam.decode(batch) == [m for k in fam.decode(codes) for m in fam.solve_coset(s, k)]
+
+
+@pytest.mark.parametrize("F, M", BOX_FAMILIES)
+def test_matrix_random_coset_matches_fraction_route(F, M):
+    """``random_coset`` draws canon(psi_s(v)) with integer kernels: over
+    3,000 draws it returns the Fraction route's tuples, Fractions only, and
+    makes the same rng calls, so two generators seeded alike end equal."""
+    fam = MatrixFamily(F, M)
+    ref_rng, rng = random.Random(41), random.Random(41)
+    for _ in range(3000):
+        s = (ref_rng.randint(0, 2), ref_rng.randint(0, 2))
+        v = tuple(Fraction(ref_rng.randint(-4, 4)) for _ in range(fam.dim))
+        got = fam.random_coset(rng, 3)
+        assert got == fam.canon(fam.psi_s(s, v))
+        assert all(type(x) is Fraction for x in got)
+    assert rng.getstate() == ref_rng.getstate()

@@ -118,11 +118,29 @@ def test_theta_preserves_k_conditionally(bc):
 
 
 def test_theta_k_image_counts(bc):
-    # The image of the compact subgroup splits into index(s)*index(t) classes.
+    """The image of the compact subgroup splits into index(s)*index(t)
+    classes, and the cell-kernel image is, as a set, the Fraction route
+    {canon(psi_s(m), t) : m in M / psi_(t*s)^-1(M)}."""
     for s in (1, 2, 3):
         for t in (1, 2, 4):
             image = tower.theta_image_of_k_reps(bc, s, t)
             assert len(image) == bc.index(s) * bc.index(t)
+    families = [
+        bc,
+        PadicFamily(3),
+        MatrixFamily([[2, 0], [0, 3]], [[5, 0], [0, 1]]),
+        MatrixFamily([[2, 1], [1, 3]], [[7, 0], [0, 7]]),
+    ]
+    for fam in families:
+        levels = fam.small_levels(3)[:4]
+        for s in levels:
+            for t in levels:
+                image = tower.theta_image_of_k_reps(fam, s, t)
+                reference = {
+                    fam.canon(fam.psi_s(s, m), t) for m in fam.iter_coset_reps(fam.s_mul(t, s))
+                }
+                assert image == reference
+                assert len(image) == fam.index(s) * fam.index(t)
 
 
 def test_k_closure_under_addition(bc):
